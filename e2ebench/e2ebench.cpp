@@ -677,6 +677,7 @@ const std::vector<std::pair<std::string, std::string>> kLayerMetrics = {
     {"shard.drain_s", "s"},
     {"trace.jobs_per_s", "1/s"},
     {"trace.overhead_jobs_per_s", "1/s"},
+    {"round_p99_ms", "ms"},
     {"bench.rounds", "count"},
 };
 
@@ -848,7 +849,6 @@ int main(int argc, char** argv) {
         {"flow_ratio", flow / lower_bound, "ratio"},
         {"reject_frac", reject_frac, "ratio"},
         {"round_p50_ms", percentile(rounds, 0.50), "ms"},
-        {"round_p99_ms", percentile(rounds, 0.99), "ms"},
         {"failover_s", median(failover), "s"},
     };
   } else {
@@ -874,6 +874,8 @@ int main(int argc, char** argv) {
     const double traced_rate = median(traced_jobs_per_s);
     samples["trace.jobs_per_s"] = {traced_rate};
     samples["trace.overhead_jobs_per_s"] = {median(jobs_per_s) - traced_rate};
+    // Too sensitive to host stalls to gate on, so it is reported here.
+    samples["round_p99_ms"] = {percentile(rounds, 0.99)};
     samples["bench.rounds"] = {static_cast<double>(rounds.size())};
     for (const auto& [name, unit] : kLayerMetrics) {
       const auto it = samples.find(name);
