@@ -12,6 +12,7 @@
 //
 //   ./lp_certificates [--jobs=6] [--eps=0.25] [--seed=3] [--grid=96]
 #include <iostream>
+#include <string>
 
 #include "baselines/flow_lower_bounds.hpp"
 #include "core/flow/rejection_flow.hpp"
@@ -88,12 +89,16 @@ int main(int argc, char** argv) {
     util::Table assignment({"job", "machine 0", "machine 1", "T1 ran it on"});
     for (std::size_t j = 0; j < instance.num_jobs(); ++j) {
       const auto& rec = t1.schedule.record(static_cast<JobId>(j));
+      // Appended piecewise: GCC 12 reports a -Wrestrict false positive
+      // inside `"m" + std::to_string(...)`.
+      std::string ran_on(rec.machine == kInvalidMachine ? "-" : "m");
+      if (rec.machine != kInvalidMachine) {
+        ran_on += std::to_string(rec.machine);
+        if (rec.rejected()) ran_on += " (rejected)";
+      }
       assignment.row(static_cast<unsigned long>(j),
                      lp_result.machine_time[0][j], lp_result.machine_time[1][j],
-                     rec.machine == kInvalidMachine
-                         ? std::string("-")
-                         : "m" + std::to_string(rec.machine) +
-                               (rec.rejected() ? " (rejected)" : ""));
+                     ran_on);
     }
     assignment.print(std::cout);
   }

@@ -91,9 +91,6 @@ int inspect(const Instance& instance) {
   table.row("release span", max_release - min_release);
   table.row("has deadlines", has_deadlines ? "yes" : "no");
   table.row("storage backend", to_string(instance.backend()));
-  table.row("dispatch index",
-            instance.dispatch_index_active() ? "active"
-                                             : "inactive (shadow-row scan)");
   table.row("sum of min processing", lb_sum_min_processing(instance));
   table.print(std::cout);
   return 0;

@@ -9,11 +9,10 @@ Compares a baseline report against a current one, metric by metric:
   before the diff counts as a perf regression. Direction matters — getting
   faster or smaller is never a regression.
 * Metrics prefixed "tier_" describe WHICH code path produced the numbers
-  (e23's dispatch tiers: tier_simd 0/1/2 = scalar/avx2/avx512,
-  tier_order_width 0/16/32) — hardware- and env-shaped (cpuid,
-  OSCHED_SIMD), not scheduling outputs, and bit-identical across tiers by
-  the simd_argmin contract. Differences are reported as informational
-  notes, never as regressions or mismatches.
+  (e23's dispatch tier: tier_simd 0/1/2 = scalar/avx2/avx512) — hardware-
+  and env-shaped (cpuid, OSCHED_SIMD), not scheduling outputs, and
+  bit-identical across tiers by the simd_argmin contract. Differences are
+  reported as informational notes, never as regressions or mismatches.
 * Metrics prefixed "seeded_" are deterministic ONLY per seed (e20's chaos
   schedule and e22's burst-warped workload move with --seed, and e22's
   per-shard overload counters — seeded_hot_deferred, seeded_total_sheds,
@@ -87,10 +86,10 @@ CORE_DETERMINISTIC = ("rejected", "completed", "total_flow")
 # reports. Everywhere else these are skipped, not warned about.
 SEEDED_PREFIX = "seeded_"
 
-# Code-path attribution, not output: which SIMD tier / order-table width
-# served the case (cpuid- and OSCHED_SIMD-shaped). All tiers are
-# bit-identical by contract, so a tier change can explain a perf delta but
-# can never itself be a regression or a determinism error.
+# Code-path attribution, not output: which SIMD tier served the case
+# (cpuid- and OSCHED_SIMD-shaped). All tiers are bit-identical by contract,
+# so a tier change can explain a perf delta but can never itself be a
+# regression or a determinism error.
 TIER_PREFIX = "tier_"
 
 

@@ -329,10 +329,10 @@ class RejectionFlowPolicy final : public SimulationHooks {
 
  private:
   /// Above this many busy machines the per-contender exact evaluations of
-  /// the ordered path stop paying for themselves and dispatch falls back
-  /// to the vectorized bound sweep. Both paths return the identical
+  /// the idle path stop paying for themselves and dispatch falls back to
+  /// the vectorized bound sweep. Both paths return the identical
   /// lexicographic argmin; the cutover is performance-only.
-  static constexpr std::size_t kOrderedPathMaxLive = 16;
+  static constexpr std::size_t kIdlePathMaxLive = 16;
 
   PendingKey make_key(MachineId i, JobId j) const {
     return PendingKey{effective_processing(i, j), store_.job(j).release, j};
@@ -410,78 +410,25 @@ class RejectionFlowPolicy final : public SimulationHooks {
     return best_machine;
   }
 
-  /// Indexed dispatch: one vectorizable sweep computes every candidate's
-  /// lower bound, the argmin-bound machine seeds the incumbent, and the
-  /// remaining candidates are visited best-first until the next bound
-  /// exceeds the incumbent lambda. Returns the same (lambda, machine) as
-  /// dispatch_linear_scan, bit for bit.
-  /// Ordered path of the dispatch index, used while few machines have
-  /// pending work (the common state under SPT draining): the best machine
-  /// with an EMPTY queue is the first idle entry of the job's precomputed
-  /// (p, id)-order — lambda = p/eps + p is monotone in p — and every other
-  /// contender has a non-empty queue, i.e. sits in the live list, whose
-  /// members are evaluated exactly. Cost is O(|live|), independent of m.
-  /// Returns the same lexicographic (lambda, id) argmin as the sweep.
-  MachineId dispatch_ordered(JobId j, Time release,
-                             const EligibleMachines& eligible,
-                             double* best_lambda_out) {
+  /// Idle path of the dispatch index, used while few machines have pending
+  /// work (the common state under SPT draining). The best machine with an
+  /// EMPTY queue is the idle argmin of lambda = p/eps + p, read straight
+  /// off the job's double row; every other contender has a non-empty
+  /// queue, i.e. sits in the live list, whose members are screened by
+  /// their cached bound and evaluated exactly. Returns the same
+  /// lexicographic (lambda, id) argmin as the sweep.
+  MachineId dispatch_idle_path(JobId j, Time release,
+                               const EligibleMachines& eligible,
+                               double* best_lambda_out) {
     const std::size_t count = eligible.size();
-    // uint16 or uint32 machine ids depending on the store's order width
-    // (m >= 65536 selects the wide table) — the walk is width-agnostic.
-    const auto* order = store_.p_order_row(j);
     const Work* rowd = store_.processing_row(j);
     const bool dense = count == store_.num_machines();
-
-    // Overlap the cold double-row loads: the head of the order (the likely
-    // idle hit) and every live contender's entry fetch in parallel. (The
-    // order table exists only for batch stores; streaming rows were just
-    // appended and are cache-hot without help.)
-    if (order != nullptr) __builtin_prefetch(rowd + order[0], 0, 0);
-    for (const std::uint32_t i : live_list_) {
-      __builtin_prefetch(rowd + i, 0, 0);
-    }
 
     double best_lambda = kTimeInfinity;
     MachineId best_machine = kInvalidMachine;
 
-    // While a kSpeedChange multiplier is in force somewhere, the raw-p
-    // order table no longer sorts machines by EFFECTIVE p, so the
-    // first-idle-in-order shortcut (and its id-tie walk) would pick the
-    // wrong idle machine. Fall through to the exact idle scan below — its
-    // lexicographic (lambda, id) argmin is the linear scan's by
-    // construction. Restored multipliers (all back to 1) re-enable the
-    // order-table walk automatically.
-    const bool order_walk_sound =
-        order != nullptr && !(fleet_speed_ && fleet_.any_speed_scaled());
-
-    if (order_walk_sound) {
-      // First ACTIVE idle machine in (p, id) order, then the id-tie walk:
-      // later idle machines tie only while their rounded lambda is bit-equal
-      // (p is non-decreasing along the order and fl is monotone, so the walk
-      // stops at the first strictly larger lambda). Down/draining machines
-      // have pend_n_ == 0 and would otherwise masquerade as idle.
-      std::size_t w = 0;
-      while (w < count && (pend_n_[order[w]] != 0 || !fleet_.active(order[w])))
-        ++w;
-      if (w < count) {
-        const auto i0 = static_cast<std::size_t>(order[w]);
-        const Work p0 = effective_processing(static_cast<MachineId>(i0), j);
-        best_lambda = p0 / options_.epsilon + p0;  // empty-queue lambda
-        best_machine = static_cast<MachineId>(i0);
-        for (std::size_t w2 = w + 1; w2 < count; ++w2) {
-          const auto i2 = static_cast<std::size_t>(order[w2]);
-          if (pend_n_[i2] != 0 || !fleet_.active(i2)) continue;
-          const Work p2 = effective_processing(static_cast<MachineId>(i2), j);
-          const double lambda2 = p2 / options_.epsilon + p2;
-          if (lambda2 != best_lambda) break;
-          if (static_cast<MachineId>(i2) < best_machine) {
-            best_machine = static_cast<MachineId>(i2);
-          }
-        }
-      }
-    } else if (dense && speed_is_one_ && !fleet_speed_ && !fleet_.enabled()) {
-      // No precomputed order, no fleet mask, no speed scaling (the huge-m
-      // generator/streaming steady state — the O(m) loop e23 sizes): the
+    if (dense && speed_is_one_ && !fleet_speed_ && !fleet_.enabled()) {
+      // No fleet mask and no speed scaling (the steady state): the
       // effective p IS the double row entry and every machine is a
       // candidate when idle, so the exact idle argmin vectorizes — per
       // lane the scalar division-then-add, min-reduce plus first-index
@@ -494,15 +441,9 @@ class RejectionFlowPolicy final : public SimulationHooks {
         best_machine = static_cast<MachineId>(idle.index);
       }
     } else {
-      // No precomputed order (streaming store, generator tile), or the
-      // table is unsound under active speed multipliers: derive the idle
-      // argmin from the DOUBLE row directly. Rows without an order table
-      // are the just-appended / just-synthesized ones — already cache-hot —
-      // so the float shadow's halved memory traffic buys nothing here, and
-      // skipping it keeps the lazily-filled shadow
-      // (service::StreamingJobStore) untouched on this path entirely. The
-      // exact scan returns the same lexicographic (lambda, id) argmin the
-      // former float screen located.
+      // Sparse eligibility, a fleet mask or speed scaling: exact scan of
+      // the active idle machines over the eligible list, keeping the
+      // lexicographic (lambda, id) argmin.
       for (std::size_t k = 0; k < count; ++k) {
         const auto i = static_cast<std::size_t>(
             dense ? static_cast<MachineId>(k) : eligible.first[k]);
@@ -523,16 +464,15 @@ class RejectionFlowPolicy final : public SimulationHooks {
     // can never be the argmin), exact lambda only for the few that
     // survive. The update rule is the lexicographic (lambda, id) argmin
     // and skips are sound, so the live list's order never changes the
-    // outcome. With an order table the bound's p comes from the float
-    // shadow (cold batch rows: half the traffic); without one the hot
-    // double row converts in-register — float_lower(rowd[i]) IS the shadow
-    // entry bit for bit, so the bound, pruning and result are identical.
-    const float* rowf = order != nullptr ? store_.bounds_row(j) : nullptr;
+    // outcome. The bound's p converts the double row entry in-register:
+    // float_lower(rowd[i]) IS the shadow entry bit for bit, and it leaves
+    // the lazily-filled streaming shadow (service::StreamingJobStore)
+    // untouched on this path.
     for (const std::uint32_t i : live_list_) {
       const auto machine = static_cast<MachineId>(i);
       if (!fleet_.active(i)) continue;  // draining machines stay live
       if (!dense && !(rowd[i] < kTimeInfinity)) continue;  // ineligible
-      const float pf = rowf != nullptr ? rowf[i] : float_lower(rowd[i]);
+      const float pf = float_lower(rowd[i]);
       const float plb = fleet_speed_
                             ? pf / speed_div_up_[i]
                             : (speed_is_one_ ? pf : pf / speed_up_);
@@ -557,23 +497,16 @@ class RejectionFlowPolicy final : public SimulationHooks {
       return kInvalidMachine;
     }
 
-    // Lookahead for the NEXT arrival: its candidate entries in the double
-    // row are cold (the sweep path streams only the float shadow), and a
-    // prefetch issued here has a whole job's worth of work to complete —
-    // issued at dispatch time it would have none. Batch stores know the
-    // next job already; streaming stores don't (next == num_jobs), which
-    // just skips the hint. The prefetched lines are exactly the ones the
-    // next dispatch reads, so this adds no net memory traffic.
+    // Lookahead for the NEXT arrival: its live contenders' row entries and
+    // queue roots are cold, and a prefetch issued here has a whole job's
+    // worth of work to complete — issued at dispatch time it would have
+    // none. Batch stores know the next job already; streaming stores don't
+    // (next == num_jobs), which just skips the hint. The prefetched lines
+    // are exactly the ones the next dispatch reads, so this adds no net
+    // memory traffic.
     const auto next = static_cast<std::size_t>(j) + 1;
     if (next < store_.num_jobs()) {
-      const auto nj = static_cast<JobId>(next);
-      const Work* nrow = store_.processing_row(nj);
-      const auto* norder = store_.p_order_row(nj);
-      if (norder != nullptr) {
-        const std::size_t ncount = store_.eligible_machines(nj).size();
-        __builtin_prefetch(nrow + norder[0], 0, 0);
-        if (ncount > 1) __builtin_prefetch(nrow + norder[1], 0, 0);
-      }
+      const Work* nrow = store_.processing_row(static_cast<JobId>(next));
       for (const std::uint32_t i : live_list_) {
         __builtin_prefetch(nrow + i, 0, 0);
         __builtin_prefetch(pending_[i].root_address(), 0, 3);
@@ -584,6 +517,11 @@ class RejectionFlowPolicy final : public SimulationHooks {
     return best_machine;
   }
 
+  /// Indexed dispatch: one vectorizable sweep computes every candidate's
+  /// lower bound, the argmin-bound machine seeds the incumbent, and the
+  /// remaining candidates are visited best-first until the next bound
+  /// exceeds the incumbent lambda. Returns the same (lambda, machine) as
+  /// dispatch_linear_scan, bit for bit.
   MachineId dispatch_indexed(JobId j, double* best_lambda_out) {
     const Time release = store_.job(j).release;
     const auto eligible = store_.eligible_machines(j);
@@ -597,12 +535,12 @@ class RejectionFlowPolicy final : public SimulationHooks {
       return kInvalidMachine;
     }
 
-    // Few busy machines (the steady state): O(|live|) ordered path. The
-    // cutover scales with the candidate count — at small m the sweep is
-    // already a handful of cache lines and beats per-contender evaluation
-    // as soon as a burst backs up most machines.
-    if (live_list_.size() <= std::min(kOrderedPathMaxLive, count / 4 + 1)) {
-      return dispatch_ordered(j, release, eligible, best_lambda_out);
+    // Few busy machines (the steady state): the idle path. The cutover
+    // scales with the candidate count — at small m the sweep is already a
+    // handful of cache lines and beats per-contender evaluation as soon as
+    // a burst backs up most machines.
+    if (live_list_.size() <= std::min(kIdlePathMaxLive, count / 4 + 1)) {
+      return dispatch_idle_path(j, release, eligible, best_lambda_out);
     }
 
     const float* row = store_.bounds_row(j);
@@ -829,8 +767,8 @@ class RejectionFlowPolicy final : public SimulationHooks {
   }
 
   // ---- live-machine set: machines with a non-empty pending queue, kept
-  // as a swap-remove list with a position map. The dispatch's ordered path
-  // is O(|live|); outcomes never depend on the list's internal order
+  // as a swap-remove list with a position map. The dispatch's idle path
+  // evaluates only its members exactly; outcomes never depend on the list's internal order
   // (candidates are compared lexicographically by (lambda, id)). ----
 
   void live_add(std::size_t i) {

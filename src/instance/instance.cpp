@@ -79,35 +79,53 @@ Instance::Instance(std::vector<Job> jobs,
   const std::vector<std::size_t> perm = release_order(jobs_);
   jobs_ = apply_order(std::move(jobs_), perm);
 
+  // Transpose the machine-major input into the job-major buffer eight
+  // machines at a time (one cache line of each job's row per block), and
+  // release each input row as soon as its block is copied, so the input
+  // and the flat buffer coexist only once and the shadow and adjacency
+  // allocated below can reuse the freed rows. The same pass counts the
+  // eligible entries, so the adjacency is reserved exactly.
   const std::size_t n = jobs_.size();
-  processing_.resize(num_machines_ * n);
-  bounds_.resize(num_machines_ * n);
-  for (std::size_t pos = 0; pos < n; ++pos) {
-    Work* job_slice = processing_.data() + pos * num_machines_;
-    float* bounds_slice = bounds_.data() + pos * num_machines_;
-    const std::size_t original = perm[pos];
-    for (std::size_t i = 0; i < num_machines_; ++i) {
-      job_slice[i] = processing[i][original];
-      bounds_slice[i] = float_lower(job_slice[i]);
+  const std::size_t m = num_machines_;
+  constexpr std::size_t kTransposeBlock = 8;
+  processing_.resize(m * n);
+  std::size_t num_eligible = 0;
+  for (std::size_t lo = 0; lo < m; lo += kTransposeBlock) {
+    const std::size_t hi = std::min(m, lo + kTransposeBlock);
+    for (std::size_t pos = 0; pos < n; ++pos) {
+      Work* job_slice = processing_.data() + pos * m;
+      const std::size_t original = perm[pos];
+      for (std::size_t i = lo; i < hi; ++i) {
+        const Work p = processing[i][original];
+        job_slice[i] = p;
+        num_eligible += static_cast<std::size_t>(p < kTimeInfinity);
+      }
+    }
+    for (std::size_t i = lo; i < hi; ++i) {
+      std::vector<Work>().swap(processing[i]);
     }
   }
 
-  // Per-job eligible-machine adjacency, ascending machine index. The same
-  // full-matrix pass performs validation (KEEP the checks in sync with
-  // service::StreamingJobStore::check_job): an Instance is immutable, so
-  // the verdict is computed once here and validate() just returns it —
-  // run_* entry points used to re-scan the whole matrix per run, which
-  // showed up as ~15% of the measured scheduling time in the perf tier.
+  // Float shadow, per-job eligible-machine adjacency (ascending machine
+  // index) and validation in one pass over the flat buffer (KEEP the checks
+  // in sync with service::StreamingJobStore::check_job): an Instance is
+  // immutable, so the verdict is computed once here and validate() just
+  // returns it — run_* entry points used to re-scan the whole matrix per
+  // run, which showed up as ~15% of the measured scheduling time in the
+  // perf tier.
+  bounds_.resize(m * n);
   std::ostringstream problems;
-  if (num_machines_ == 0) problems << "no machines; ";
+  if (m == 0) problems << "no machines; ";
   eligible_offsets_.assign(n + 1, 0);
-  eligible_flat_.reserve(num_machines_ > 0 ? n : 0);
+  eligible_flat_.reserve(num_eligible);
   for (std::size_t j = 0; j < n; ++j) {
     check_job_fields(jobs_[j], j, problems);
-    const Work* job_slice = processing_.data() + j * num_machines_;
+    const Work* job_slice = processing_.data() + j * m;
+    float* bounds_slice = bounds_.data() + j * m;
     bool any_eligible = false;
-    for (std::size_t i = 0; i < num_machines_; ++i) {
+    for (std::size_t i = 0; i < m; ++i) {
       const Work p = job_slice[i];
+      bounds_slice[i] = float_lower(p);
       if (p < kTimeInfinity) {
         any_eligible = true;
         if (p <= 0.0) {
@@ -118,13 +136,12 @@ Instance::Instance(std::vector<Job> jobs,
         problems << "p[" << i << "][" << j << "] is NaN; ";
       }
     }
-    if (num_machines_ > 0 && !any_eligible) {
+    if (m > 0 && !any_eligible) {
       problems << "job " << j << " has no eligible machine; ";
     }
     eligible_offsets_[j + 1] = eligible_flat_.size();
   }
   validation_problems_ = problems.str();
-  build_p_order_dense();
 }
 
 Instance Instance::from_sparse_rows(std::vector<Job> jobs,
@@ -180,7 +197,6 @@ Instance Instance::from_sparse_rows(std::vector<Job> jobs,
     instance.eligible_offsets_[j + 1] = instance.eligible_flat_.size();
   }
   instance.validation_problems_ = problems.str();
-  instance.build_p_order_csr();
   return instance;
 }
 
@@ -249,64 +265,8 @@ Instance Instance::with_backend(StorageBackend target) const {
 std::size_t Instance::store_bytes() const {
   auto bytes = [](const auto& v) { return v.size() * sizeof(v[0]); };
   return bytes(jobs_) + bytes(processing_) + bytes(bounds_) + bytes(csr_p_) +
-         bytes(csr_bounds_) + bytes(identity_machines_) + bytes(p_order_) +
-         bytes(p_order32_) + bytes(eligible_flat_) + bytes(eligible_offsets_);
-}
-
-template <class IdT, class EntryP>
-void Instance::build_p_order_into(std::vector<IdT>& table, EntryP&& entry_p) {
-  // Per-job (p, id)-sorted eligible machines for the dispatch index's
-  // idle-machine walk. Sorting runs over PACKED (p bit pattern, id) keys:
-  // the bit patterns of non-negative IEEE doubles order exactly like the
-  // values, and value compares beat a comparator that chases back into the
-  // matrix per call. `entry_p(j, k, id)` is the backend's way to read the
-  // adjacency entry's p value — one builder, so the dense and CSR order
-  // tables can't drift. Construction is batched per job: the sort scratch
-  // is one row's keys (capacity = the widest adjacency row, reused across
-  // jobs), so huge-m builds never hold more than the finished table plus
-  // one row of keys.
-  const std::size_t n = jobs_.size();
-  table.resize(eligible_flat_.size());
-  std::vector<detail::POrderKeyT<IdT>> keys;
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::size_t begin = eligible_offsets_[j];
-    const std::size_t end = eligible_offsets_[j + 1];
-    keys.clear();
-    for (std::size_t k = begin; k < end; ++k) {
-      const auto id = static_cast<IdT>(eligible_flat_[k]);
-      keys.push_back(detail::POrderKeyT<IdT>::make(entry_p(j, k, id), id));
-    }
-    std::sort(keys.begin(), keys.end());
-    for (std::size_t k = begin; k < end; ++k) {
-      table[k] = keys[k - begin].id;
-    }
-  }
-}
-
-template <class EntryP>
-void Instance::build_p_order(EntryP&& entry_p) {
-  // Narrowest id width that fits the machine count: uint16 keeps the table
-  // at 2 bytes per adjacency entry for the common fleet sizes; uint32 is
-  // the huge-m tier — the indexed idle-machine walk stays active instead of
-  // degrading to the O(m) shadow sweep (the pre-uint32 behavior, retired).
-  if (num_machines_ >= 65536u) {
-    build_p_order_into(p_order32_, entry_p);
-  } else {
-    build_p_order_into(p_order_, entry_p);
-  }
-}
-
-void Instance::build_p_order_dense() {
-  build_p_order([this](std::size_t j, std::size_t /*k*/, std::size_t id) {
-    return processing_[j * num_machines_ + id];
-  });
-}
-
-void Instance::build_p_order_csr() {
-  // The CSR values are adjacency-aligned already: slice entry k IS p.
-  build_p_order([this](std::size_t /*j*/, std::size_t k, std::size_t /*id*/) {
-    return csr_p_[k];
-  });
+         bytes(csr_bounds_) + bytes(identity_machines_) +
+         bytes(eligible_flat_) + bytes(eligible_offsets_);
 }
 
 Work Instance::sparse_lookup(MachineId i, JobId j) const {

@@ -7,12 +7,11 @@
 //
 //  * kDense     — one flat job-major buffer (a job's p_ij across machines is
 //                 contiguous, the access pattern of the dispatch scans) plus
-//                 a rounded-down float32 shadow and a per-job (p, id) machine
-//                 order. Today's hot-path layout, unchanged.
-//  * kSparseCsr — eligible entries only: p, float shadow and (p, id) order
-//                 are stored per job over the eligibility adjacency, so a
-//                 restricted-assignment family at eligibility q costs ~q of
-//                 the dense bytes instead of all of them.
+//                 a rounded-down float32 shadow.
+//  * kSparseCsr — eligible entries only: p and float shadow are stored per
+//                 job over the eligibility adjacency, so a restricted-
+//                 assignment family at eligibility q costs ~q of the dense
+//                 bytes instead of all of them.
 //  * kGenerator — no matrix at all: p_ij is synthesized on demand from a
 //                 workload family's closed form (RowGenerator). Fully
 //                 eligible by contract; huge-m sweeps never materialize n×m.
@@ -21,10 +20,10 @@
 // min_processing, ...) with identical values, and the schedulers make
 // bit-identical decisions over all three — tests/storage_backend_test.cpp
 // pins that down differentially. The *hot* accessor surface the policies
-// are templated over (processing_row / bounds_row / p_order_row /
-// processing_unchecked without branches) lives in the per-backend view
-// classes of instance/processing_store.hpp; the dense view compiles to the
-// exact loads Instance used to serve itself.
+// are templated over (processing_row / bounds_row / processing_unchecked
+// without branches) lives in the per-backend view classes of
+// instance/processing_store.hpp; the dense view compiles to the exact loads
+// Instance used to serve itself.
 #pragma once
 
 #include <iosfwd>
@@ -55,7 +54,7 @@ struct EligibleMachines {
 /// never changes any scheduling outcome — only memory footprint and the
 /// constant factors of the accessors.
 enum class StorageBackend {
-  kDense,      ///< flat job-major n×m buffer (+ shadow + order tables)
+  kDense,      ///< flat job-major n×m buffer (+ float shadow)
   kSparseCsr,  ///< eligible entries only, CSR over the adjacency
   kGenerator,  ///< p_ij synthesized on demand from a closed form
 };
@@ -131,7 +130,7 @@ class Instance {
   StorageBackend backend() const { return backend_; }
 
   /// Exact byte footprint of the stored representation (matrix payload,
-  /// shadow/order tables, adjacency, job records). Deterministic for a
+  /// float shadow, adjacency, job records). Deterministic for a
   /// given instance — bench reports treat it as an exact-match metric.
   std::size_t store_bytes() const;
 
@@ -185,47 +184,14 @@ class Instance {
     return bounds_.data() + static_cast<std::size_t>(j) * num_machines_;
   }
 
-  /// Job j's eligible machines sorted by (p_ij, machine id) ascending —
-  /// precomputed at construction for the dense and sparse backends (the
-  /// table is CSR-shaped either way). Ids are stored at the narrowest width
-  /// that fits the machine count: uint16 below 65536 machines (this
-  /// accessor), uint32 at and above (p_order32_row). nullptr when THIS
-  /// width's table does not exist — generator backend (sorting would
-  /// materialize the row work the backend avoids), empty instances, or the
-  /// other width being selected.
-  const std::uint16_t* p_order_row(JobId j) const {
-    if (p_order_.empty()) return nullptr;
-    return p_order_.data() + eligible_offsets_[static_cast<std::size_t>(j)];
-  }
-
-  /// The wide (uint32-id) twin of p_order_row, selected automatically at
-  /// m >= 65536 — machine ids there exceed uint16, and the huge-m tier
-  /// keeps the indexed idle-machine walk instead of degrading to the O(m)
-  /// shadow sweep.
-  const std::uint32_t* p_order32_row(JobId j) const {
-    if (p_order32_.empty()) return nullptr;
-    return p_order32_.data() + eligible_offsets_[static_cast<std::size_t>(j)];
-  }
-
-  /// Machine-id width of the order table in bits: 16 (m < 65536), 32
-  /// (m >= 65536), or 0 when no table exists (generator backend, empty
-  /// instances). Surfaced through api::RunSummary::dispatch_order_width so
-  /// perf baselines are attributable to the code path that produced them.
-  int dispatch_order_width() const {
-    if (!p_order_.empty()) return 16;
-    if (!p_order32_.empty()) return 32;
-    return 0;
-  }
-
-  /// Whether a (p, id) order table exists at either width, i.e. whether
-  /// dispatch runs the indexed idle-machine walk rather than the O(m)
-  /// shadow-row scan. False only for generator instances (the streaming /
-  /// on-demand stores take the order-less sub-path by design) and empty
-  /// instances. Surfaced through api::RunSummary::dispatch_index_active so
-  /// the chosen path is attributable from results alone.
-  bool dispatch_index_active() const {
-    return !p_order_.empty() || !p_order32_.empty();
-  }
+  /// Kept for result attribution (api::RunSummary::dispatch_index_active
+  /// and the benchmark reports read it): whether dispatch walked a
+  /// precomputed per-job (p, id) machine order. No store builds one any
+  /// more — Theorem 1's dispatch needs an argmin, not an order, and every
+  /// store takes the same order-less sub-path (a vectorized idle argmin
+  /// over the double row, an exact scan over the eligible list otherwise) —
+  /// so this is false for every instance.
+  bool dispatch_index_active() const { return false; }
 
   bool eligible(MachineId i, JobId j) const {
     return processing(i, j) < kTimeInfinity;
@@ -278,10 +244,8 @@ class Instance {
   std::string validate() const;
 
  private:
-  template <class OrderT>
-  friend class DenseStoreViewT;
-  template <class OrderT>
-  friend class SparseStoreViewT;
+  friend class DenseStoreView;
+  friend class SparseStoreView;
   friend class GeneratorStoreView;
 
   /// Shared per-job field validation (release/weight/deadline), identical
@@ -289,18 +253,6 @@ class Instance {
   /// check_job.
   static void check_job_fields(const Job& job, std::size_t j,
                                std::ostream& problems);
-
-  /// Build the per-job (p, id)-sorted machine order over the adjacency
-  /// (CSR-shaped for every backend that has one; entry_p reads one entry's
-  /// p value) into `table`, at whichever id width IdT names. The width is
-  /// selected by build_p_order: uint16 below 65536 machines, uint32 at and
-  /// above.
-  template <class IdT, class EntryP>
-  void build_p_order_into(std::vector<IdT>& table, EntryP&& entry_p);
-  template <class EntryP>
-  void build_p_order(EntryP&& entry_p);
-  void build_p_order_dense();
-  void build_p_order_csr();
 
   Work sparse_lookup(MachineId i, JobId j) const;
 
@@ -327,12 +279,6 @@ class Instance {
   std::vector<MachineId> identity_machines_;
 
   // ---- shared tables (dense + sparse) ----
-  /// Per-job eligible machines sorted by (p_ij, id); eligible_offsets_
-  /// slicing. Exactly one of the two widths is populated: uint16 ids below
-  /// 65536 machines (2 bytes per adjacency entry, the compact default),
-  /// uint32 ids at and above (the huge-m tier).
-  std::vector<std::uint16_t> p_order_;
-  std::vector<std::uint32_t> p_order32_;
   /// Eligible-machine ids grouped by job; eligible_offsets_[j]..[j+1) is
   /// job j's slice of eligible_flat_.
   std::vector<MachineId> eligible_flat_;

@@ -5,7 +5,7 @@
 // the baselines) are templates over a Store type providing
 //   job(j), num_jobs(), num_machines(), processing(i, j),
 //   processing_unchecked(i, j), processing_row(j), bounds_row(j),
-//   p_order_row(j), eligible_machines(j), min_processing(j)
+//   eligible_machines(j), min_processing(j)
 // with Instance's semantics. Instance itself now multiplexes three backends
 // behind façade accessors that branch per call — fine for checkers and
 // metrics, wrong for the dispatch inner loops. These views give each
@@ -33,46 +33,18 @@
 #include <array>
 #include <cstdlib>
 #include <limits>
-#include <type_traits>
 #include <vector>
 
 #include "instance/instance.hpp"
 
 namespace osched {
 
-namespace store_detail {
-
-/// The Instance order table matching OrderT's width (uint16 below 65536
-/// machines, uint32 at and above — exactly one is populated); nullptr when
-/// that width's table is absent. Called from the friended view templates,
-/// so the uint16/uint32 instantiations differ only in the pointer type.
-template <class OrderT>
-const OrderT* order_table(const std::vector<std::uint16_t>& narrow,
-                          const std::vector<std::uint32_t>& wide) {
-  if constexpr (std::is_same_v<OrderT, std::uint16_t>) {
-    return narrow.empty() ? nullptr : narrow.data();
-  } else {
-    static_assert(std::is_same_v<OrderT, std::uint32_t>,
-                  "order tables come in uint16 and uint32 widths only");
-    return wide.empty() ? nullptr : wide.data();
-  }
-}
-
-}  // namespace store_detail
-
-/// OrderT is the (p, id) order table's machine-id type: std::uint16_t for
-/// m < 65536 (the compact default, alias DenseStoreView), std::uint32_t at
-/// and above (alias DenseStoreView32 — the huge-m tier). with_store_view
-/// instantiates whichever width the instance built.
-template <class OrderT>
-class DenseStoreViewT {
+class DenseStoreView {
  public:
-  explicit DenseStoreViewT(const Instance& instance)
+  explicit DenseStoreView(const Instance& instance)
       : instance_(&instance),
         p_(instance.processing_.data()),
         bounds_(instance.bounds_.data()),
-        order_(store_detail::order_table<OrderT>(instance.p_order_,
-                                                 instance.p_order32_)),
         eligible_(instance.eligible_flat_.data()),
         offsets_(instance.eligible_offsets_.data()),
         m_(instance.num_machines()) {
@@ -97,10 +69,6 @@ class DenseStoreViewT {
   const float* bounds_row(JobId j) const {
     return bounds_ + static_cast<std::size_t>(j) * m_;
   }
-  const OrderT* p_order_row(JobId j) const {
-    if (order_ == nullptr) return nullptr;
-    return order_ + offsets_[static_cast<std::size_t>(j)];
-  }
   EligibleMachines eligible_machines(JobId j) const {
     const auto idx = static_cast<std::size_t>(j);
     return EligibleMachines{eligible_ + offsets_[idx],
@@ -115,14 +83,10 @@ class DenseStoreViewT {
   const Instance* instance_;
   const Work* p_;
   const float* bounds_;
-  const OrderT* order_;
   const MachineId* eligible_;
   const std::size_t* offsets_;
   std::size_t m_;
 };
-
-using DenseStoreView = DenseStoreViewT<std::uint16_t>;
-using DenseStoreView32 = DenseStoreViewT<std::uint32_t>;
 
 namespace store_detail {
 
@@ -140,16 +104,11 @@ inline constexpr std::size_t kTileSlots = 4;
 
 }  // namespace store_detail
 
-/// Same OrderT convention as DenseStoreViewT (aliases SparseStoreView /
-/// SparseStoreView32).
-template <class OrderT>
-class SparseStoreViewT {
+class SparseStoreView {
  public:
-  explicit SparseStoreViewT(const Instance& instance)
+  explicit SparseStoreView(const Instance& instance)
       : instance_(&instance),
         csr_p_(instance.csr_p_.data()),
-        order_(store_detail::order_table<OrderT>(instance.p_order_,
-                                                 instance.p_order32_)),
         eligible_(instance.eligible_flat_.data()),
         offsets_(instance.eligible_offsets_.data()),
         m_(instance.num_machines()) {
@@ -170,10 +129,6 @@ class SparseStoreViewT {
   }
   const Work* processing_row(JobId j) const { return tile(j).p.data(); }
   const float* bounds_row(JobId j) const { return tile(j).bounds.data(); }
-  const OrderT* p_order_row(JobId j) const {
-    if (order_ == nullptr) return nullptr;
-    return order_ + offsets_[static_cast<std::size_t>(j)];
-  }
   EligibleMachines eligible_machines(JobId j) const {
     const auto idx = static_cast<std::size_t>(j);
     return EligibleMachines{eligible_ + offsets_[idx],
@@ -212,15 +167,11 @@ class SparseStoreViewT {
 
   const Instance* instance_;
   const Work* csr_p_;
-  const OrderT* order_;
   const MachineId* eligible_;
   const std::size_t* offsets_;
   std::size_t m_;
   mutable std::array<store_detail::RowTile, store_detail::kTileSlots> tiles_;
 };
-
-using SparseStoreView = SparseStoreViewT<std::uint16_t>;
-using SparseStoreView32 = SparseStoreViewT<std::uint32_t>;
 
 class GeneratorStoreView {
  public:
@@ -244,10 +195,6 @@ class GeneratorStoreView {
   }
   const Work* processing_row(JobId j) const { return tile(j).p.data(); }
   const float* bounds_row(JobId j) const { return tile(j).bounds.data(); }
-  /// No precomputed (p, id) order — sorting per row would sit exactly where
-  /// the synthesis does; dispatch derives the idle argmin from the shadow
-  /// row (the streaming store takes the same sub-path).
-  const std::uint16_t* p_order_row(JobId /*j*/) const { return nullptr; }
   EligibleMachines eligible_machines(JobId /*j*/) const {
     // Fully eligible by the RowGenerator contract: the shared 0..m-1 row.
     return EligibleMachines{identity_, identity_ + m_};
@@ -285,31 +232,17 @@ class GeneratorStoreView {
   mutable std::array<store_detail::RowTile, store_detail::kTileSlots> tiles_;
 };
 
-/// Runs `fn` with the view matching `instance.backend()` AND the order
-/// table's id width (uint16 below 65536 machines, uint32 at and above).
-/// The batch entry points route through this so each (backend, width)
-/// combination gets its own full template instantiation of the policy +
-/// engine — the dense uint16 one being the pre-refactor hot path,
-/// unchanged. An instance with no order table at all (only the generator
-/// backend, whose view ignores the width) takes the uint16 branch, whose
-/// view then serves nullptr rows exactly as before.
+/// Runs `fn` with the view matching `instance.backend()`. The batch entry
+/// points route through this so each backend gets its own full template
+/// instantiation of the policy + engine.
 template <class Fn>
 decltype(auto) with_store_view(const Instance& instance, Fn&& fn) {
-  const bool wide = instance.dispatch_order_width() == 32;
   switch (instance.backend()) {
     case StorageBackend::kDense: {
-      if (wide) {
-        const DenseStoreView32 view(instance);
-        return fn(view);
-      }
       const DenseStoreView view(instance);
       return fn(view);
     }
     case StorageBackend::kSparseCsr: {
-      if (wide) {
-        const SparseStoreView32 view(instance);
-        return fn(view);
-      }
       const SparseStoreView view(instance);
       return fn(view);
     }

@@ -179,12 +179,6 @@ class StreamingJobStore {
     return tile(j).bounds.data();
   }
 
-  /// Streaming stores have no precomputed (p, id) order: sorting every
-  /// append would sit on the ingest clock, and a just-appended row is
-  /// cache-hot anyway, so the dispatch's ordered path derives the idle
-  /// argmin from the shadow row instead (nullptr selects that sub-path).
-  const std::uint16_t* p_order_row(JobId /*j*/) const { return nullptr; }
-
   Work processing(MachineId i, JobId j) const {
     OSCHED_CHECK(i >= 0 && static_cast<std::size_t>(i) < num_machines_);
     return processing_unchecked(i, j);

@@ -287,9 +287,8 @@ class SchedulerSession::Impl {
 
     api::RunSummary summary;
     summary.algorithm = algorithm_;
-    // Streamed stores keep no order table, so dispatch_index_active /
-    // dispatch_order_width stay at their defaults (false / 0); the SIMD
-    // tier applies to the streamed dispatch kernels all the same.
+    // dispatch_index_active stays false, as for every batch instance; the
+    // SIMD tier applies to the streamed dispatch kernels all the same.
     summary.dispatch_simd_tier = util::active_simd_tier();
     host_->finalize(summary);
 

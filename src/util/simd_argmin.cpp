@@ -57,6 +57,29 @@ inline float hmin128(__m128 v) {
   return _mm_cvtss_f32(v);
 }
 
+// AVX-512 helpers. GCC 12's unmasked AVX-512 intrinsics (min, the 128-bit
+// extracts and casts, the zero-extending converts) pass an uninitialized
+// pass-through operand to the masked builtin, which -Wmaybe-uninitialized
+// then flags wherever they are inlined. The zero-masked forms with every
+// lane selected compute the same values from initialized operands only.
+
+/// Lane-wise min of two 16-float vectors.
+__attribute__((target("avx512f"))) inline __m512 min16(__m512 a, __m512 b) {
+  return _mm512_maskz_min_ps(static_cast<__mmask16>(0xFFFF), a, b);
+}
+
+/// Quarter Q (lanes 4Q..4Q+3) of a 16-float vector.
+template <int Q>
+__attribute__((target("avx512f"))) inline __m128 quarter(__m512 v) {
+  return _mm512_maskz_extractf32x4_ps(static_cast<__mmask8>(0xF), v, Q);
+}
+
+/// Horizontal min of all 16 lanes.
+__attribute__((target("avx512f"))) inline float hmin512(__m512 v) {
+  return hmin128(_mm_min_ps(_mm_min_ps(quarter<0>(v), quarter<1>(v)),
+                            _mm_min_ps(quarter<2>(v), quarter<3>(v))));
+}
+
 }  // namespace
 
 SimdTier active_simd_tier() {
@@ -103,7 +126,7 @@ __attribute__((target("avx512f"))) void lb_fill_avx512(
     const __m512 p = _mm512_loadu_ps(row + i);
     const __m512 a = _mm512_mul_ps(p, vc);
     const __m512 b = _mm512_mul_ps(_mm512_loadu_ps(pcm + i),
-                                   _mm512_min_ps(p, _mm512_loadu_ps(pmp + i)));
+                                   min16(p, _mm512_loadu_ps(pmp + i)));
     _mm512_storeu_ps(lb + i, _mm512_add_ps(a, b));
   }
   lb_fill_scalar(row + i, pcm + i, pmp + i, coeff, lb + i, m - i);
@@ -187,15 +210,13 @@ __attribute__((target("avx512f"))) ArgminResult block_minima_argmin_avx512(
   __m512 acc = _mm512_set1_ps(std::numeric_limits<float>::max());
   for (std::size_t pair = 0; pair < pairs; ++pair) {
     const __m512 v = _mm512_loadu_ps(lb + pair * 16);
-    acc = _mm512_min_ps(acc, v);
-    const __m128 q0 = _mm512_castps512_ps128(v);
-    const __m128 q1 = _mm512_extractf32x4_ps(v, 1);
-    const __m128 q2 = _mm512_extractf32x4_ps(v, 2);
-    const __m128 q3 = _mm512_extractf32x4_ps(v, 3);
-    bmin[pair * 2] = hmin128(_mm_min_ps(q0, q1));
-    bmin[pair * 2 + 1] = hmin128(_mm_min_ps(q2, q3));
+    acc = min16(acc, v);
+    bmin[pair * 2] = hmin128(_mm_min_ps(quarter<0>(v), quarter<1>(v)));
+    bmin[pair * 2 + 1] = hmin128(_mm_min_ps(quarter<2>(v), quarter<3>(v)));
   }
-  float gmin = _mm512_reduce_min_ps(acc);
+  // min is exact and order-free over the NaN-free lb values, so this
+  // reduction order gives the same value as any other.
+  float gmin = hmin512(acc);
   if (full % 2 != 0) {  // odd trailing full block: 256-bit-free 8-lane min
     const float* chunk = lb + (full - 1) * 8;
     const __m128 h = _mm_min_ps(_mm_loadu_ps(chunk), _mm_loadu_ps(chunk + 4));
@@ -303,8 +324,9 @@ __attribute__((target("avx512f"))) IdleArgmin idle_lambda_argmin_avx512(
   for (; i + 8 <= m; i += 8) {
     const __m256i n32 =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pend_n + i));
-    const __mmask8 idle = _mm512_cmpeq_epi64_mask(_mm512_cvtepu32_epi64(n32),
-                                                  _mm512_setzero_si512());
+    const __mmask8 idle = _mm512_cmpeq_epi64_mask(
+        _mm512_maskz_cvtepu32_epi64(static_cast<__mmask8>(0xFF), n32),
+        _mm512_setzero_si512());
     const __m512d p = _mm512_loadu_pd(row + i);
     __m512d lambda = _mm512_add_pd(_mm512_div_pd(p, veps), p);
     lambda = _mm512_mask_blend_pd(idle, inf, lambda);

@@ -2,8 +2,8 @@
 //
 // The dense dispatch sweep of rejection_flow_policy.hpp is three loops over
 // machine-indexed arrays: the float32 lower-bound fill, the kBlock=8 block
-// minima + first-index argmin, and (on the ordered path without an order
-// table) the exact idle-machine lambda argmin over the double row. The
+// minima + first-index argmin, and (on the idle path) the exact
+// idle-machine lambda argmin over the double row. The
 // scalar versions are straight-line code the autovectorizer USUALLY
 // handles; this module makes the vector shape explicit — AVX2 and AVX-512
 // kernels selected per process by cpuid — with the scalar loop kept as the
@@ -88,8 +88,7 @@ struct ArgminResult {
 /// seeded at FLT_MAX, so an all-+inf row reports {FLT_MAX, m}.
 ArgminResult block_minima_argmin(const float* lb, std::size_t m, float* bmin);
 
-/// Exact idle-machine argmin of the ordered dispatch path without an order
-/// table: over machines i in [0, m) with pend_n[i] == 0, minimize
+/// Exact idle-machine argmin of the dispatch's idle path: over machines i in [0, m) with pend_n[i] == 0, minimize
 /// lambda = row[i] / epsilon + row[i] (the empty-queue lambda, evaluated
 /// with the scalar operation sequence per lane — double division then
 /// addition), ties to the smallest i. Returns index m when no machine is

@@ -107,36 +107,6 @@ inline float float_upper(double x) {
   return f;
 }
 
-namespace detail {
-
-/// Packed sort key for the per-job (p, id) machine orders: the IEEE bit
-/// pattern of a non-negative double orders exactly like its value, so one
-/// integer compare replaces a double compare plus an id tie-break chase.
-/// IdT is the order table's machine-id width — uint16 below 65536 machines
-/// (2-byte entries, the compact default), uint32 at and above it (the
-/// huge-m tier; same ordering semantics, wider ids).
-template <class IdT>
-struct POrderKeyT {
-  std::uint64_t pbits = 0;
-  IdT id = 0;
-
-  static POrderKeyT make(double p, IdT machine) {
-    POrderKeyT key;
-    std::memcpy(&key.pbits, &p, sizeof(key.pbits));
-    key.id = machine;
-    return key;
-  }
-
-  bool operator<(const POrderKeyT& other) const {
-    if (pbits != other.pbits) return pbits < other.pbits;
-    return id < other.id;
-  }
-};
-
-using POrderKey = POrderKeyT<std::uint16_t>;
-
-}  // namespace detail
-
 /// Next float above f for non-negative finite f (+infinity stays put).
 inline float float_next_up(float f) {
   if (!(f < std::numeric_limits<float>::infinity())) return f;

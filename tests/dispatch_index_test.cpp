@@ -2,7 +2,7 @@
 //
 // Every policy with an argmin-lambda dispatch (Theorem 1, Theorem 2, the
 // weighted extension) carries two dispatch modes: kIndexed — cached
-// per-machine lower bounds, best-first heap, idle-machine order walk — and
+// per-machine lower bounds, best-first heap, idle-machine argmin — and
 // kLinearScan — the reference exhaustive scan, no pruning. The contract
 // under test: both modes make BIT-IDENTICAL decisions (same schedule under
 // a zero-tolerance diff, same counters, same certificates, double for
@@ -23,6 +23,7 @@
 #include "fuzz_seed.hpp"
 #include "sim/schedule_io.hpp"
 #include "util/simd_argmin.hpp"
+#include "workload/generated_family.hpp"
 #include "workload/generators.hpp"
 
 namespace osched {
@@ -199,101 +200,103 @@ TEST(DispatchIndex, Theorem2IndexedEqualsLinearScan) {
   }
 }
 
-// The order table stores machine ids as uint16 below m = 65536 and widens
-// to uint32 at the boundary — construction never skips it. This pins the
-// exact cutover (65535 → width 16, 65536/65537 → width 32), proves both
-// widths make bit-identical decisions against the exhaustive scan, and
-// checks the facade surfaces the width. Sparse rows keep the 65537-machine
-// instances tiny (memory is O(eligible entries), not n×m).
-TEST(DispatchIndex, OrderTableWidensAtTheUint16IdCeiling) {
-  for (const std::size_t m :
-       {std::size_t{65535}, std::size_t{65536}, std::size_t{65537}}) {
-    std::vector<Job> jobs;
-    std::vector<std::vector<SparseEntry>> rows;
-    for (std::size_t k = 0; k < 12; ++k) {
-      Job job;
-      job.id = static_cast<JobId>(k);
-      job.release = static_cast<Time>(k) * 0.25;
-      jobs.push_back(job);
-      // Eligible on a handful of machines spread across the full id range —
-      // including m-1, the id that overflows uint16 once m > 65536.
-      rows.push_back({{static_cast<MachineId>(k % 7), 2.0 + 0.125 * k},
-                      {static_cast<MachineId>(m / 2 + k), 1.0 + 0.25 * k},
-                      {static_cast<MachineId>(m - 1 - k), 3.0 + 0.5 * k}});
-      std::sort(rows.back().begin(), rows.back().end(),
-                [](const SparseEntry& a, const SparseEntry& b) {
-                  return a.machine < b.machine;
-                });
-    }
-    const Instance instance =
-        Instance::from_sparse_rows(std::move(jobs), m, std::move(rows));
-    const int expect_width = m < 65536 ? 16 : 32;
-    EXPECT_TRUE(instance.dispatch_index_active()) << "m=" << m;
-    EXPECT_EQ(instance.dispatch_order_width(), expect_width) << "m=" << m;
-    // Exactly one of the width-specific rows exists.
-    EXPECT_EQ(instance.p_order_row(0) != nullptr, expect_width == 16)
-        << "m=" << m;
-    EXPECT_EQ(instance.p_order32_row(0) != nullptr, expect_width == 32)
-        << "m=" << m;
+// Machine ids above the uint16 range (m = 65537): indexed dispatch stays
+// bit-identical to the exhaustive scan on every store — sparse rows, the
+// same rows materialized dense, a fully eligible dense matrix and the
+// generator that synthesizes it — and some job really lands on a machine
+// id above 65535. Sparse rows keep the restricted cells tiny (memory is
+// O(eligible entries), not n×m); the fully eligible cells keep n small.
+TEST(DispatchIndex, MachineIdsAboveUint16MatchLinearOnEveryStore) {
+  constexpr std::size_t m = 65537;
+  std::vector<Job> jobs;
+  std::vector<std::vector<SparseEntry>> rows;
+  for (std::size_t k = 0; k < 12; ++k) {
+    Job job;
+    job.id = static_cast<JobId>(k);
+    job.release = static_cast<Time>(k) * 0.25;
+    jobs.push_back(job);
+    // Eligible on a handful of machines spread across the full id range;
+    // the cheapest is m-1-k, an id that overflows uint16 for small k.
+    rows.push_back({{static_cast<MachineId>(k % 7), 2.0 + 0.125 * k},
+                    {static_cast<MachineId>(m / 2 + k), 1.0 + 0.25 * k},
+                    {static_cast<MachineId>(m - 1 - k), 0.75 + 0.125 * k}});
+  }
+  const Instance sparse =
+      Instance::from_sparse_rows(std::move(jobs), m, std::move(rows));
+  workload::ClosedFormConfig config;
+  config.num_jobs = 6;
+  config.num_machines = m;
+  config.seed = base_seed() + 65;
+  const Instance stores[] = {
+      sparse,
+      sparse.with_backend(StorageBackend::kDense),
+      workload::make_closed_form_instance(config, StorageBackend::kDense),
+      workload::make_closed_form_instance(config, StorageBackend::kGenerator),
+  };
 
-    // Either side of the boundary, indexed dispatch (uint16 or uint32
-    // table) stays bit-identical to the exhaustive scan.
+  for (const Instance& instance : stores) {
+    const std::string context =
+        std::string(to_string(instance.backend())) + " n=" +
+        std::to_string(instance.num_jobs());
     RejectionFlowOptions indexed;
     indexed.epsilon = 0.5;
     RejectionFlowOptions linear = indexed;
     linear.dispatch = DispatchMode::kLinearScan;
     const RejectionFlowResult a = run_rejection_flow(instance, indexed);
     const RejectionFlowResult b = run_rejection_flow(instance, linear);
-    expect_same_schedule(a.schedule, b.schedule, "m=" + std::to_string(m));
+    expect_same_schedule(a.schedule, b.schedule, context);
 
-    // And the facade surfaces activity, width, and a sane SIMD tier.
+    // The facade reports the order-less path and a sane SIMD tier.
     const api::RunSummary summary =
         api::run(api::Algorithm::kTheorem1, instance);
-    EXPECT_TRUE(summary.dispatch_index_active) << "m=" << m;
-    EXPECT_EQ(summary.dispatch_order_width, expect_width) << "m=" << m;
+    EXPECT_FALSE(summary.dispatch_index_active) << context;
     EXPECT_TRUE(util::simd_tier_supported(summary.dispatch_simd_tier))
-        << "m=" << m;
+        << context;
   }
+
+  MachineId highest = kInvalidMachine;
+  const RejectionFlowResult result =
+      run_rejection_flow(sparse, RejectionFlowOptions{.epsilon = 0.5});
+  for (std::size_t j = 0; j < sparse.num_jobs(); ++j) {
+    highest = std::max(highest,
+                       result.schedule.record(static_cast<JobId>(j)).machine);
+  }
+  EXPECT_GT(highest, MachineId{65535});
 }
 
-// The same three boundary cells through the WEIGHTED policy (a second,
-// independent instantiation of the uint32 store views), dense rows this
-// time so the order table covers every id from 0 to m-1 contiguously.
-// Dense at m = 65537 would be 65537 doubles per job, so n is kept tiny.
-TEST(DispatchIndex, WeightedExtCrossesTheWidthBoundaryIdentically) {
-  for (const std::size_t m :
-       {std::size_t{65535}, std::size_t{65536}, std::size_t{65537}}) {
-    std::vector<Job> jobs;
-    for (std::size_t k = 0; k < 4; ++k) {
-      Job job;
-      job.id = static_cast<JobId>(k);
-      job.release = static_cast<Time>(k) * 0.5;
-      job.weight = 1.0 + 0.5 * k;
-      jobs.push_back(job);
-    }
-    // Machine-major matrix; deterministic, collision-rich sizes: many exact
-    // ties so the (p, id) tie-break in both order widths is exercised.
-    std::vector<std::vector<Work>> processing(m, std::vector<Work>(4));
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t k = 0; k < 4; ++k) {
-        processing[i][k] = 1.0 + static_cast<double>((i * 7 + k) % 13);
-      }
-    }
-    const Instance instance(std::move(jobs), std::move(processing));
-    EXPECT_EQ(instance.dispatch_order_width(), m < 65536 ? 16 : 32)
-        << "m=" << m;
-
-    WeightedFlowOptions indexed;
-    indexed.epsilon = 0.4;
-    indexed.dispatch = DispatchMode::kIndexed;
-    WeightedFlowOptions linear = indexed;
-    linear.dispatch = DispatchMode::kLinearScan;
-    const WeightedFlowResult a = run_weighted_rejection_flow(instance, indexed);
-    const WeightedFlowResult b = run_weighted_rejection_flow(instance, linear);
-    const std::string context = "wext m=" + std::to_string(m);
-    expect_same_schedule(a.schedule, b.schedule, context);
-    EXPECT_EQ(a.rejected_weight, b.rejected_weight) << context;
+// The same id range through the WEIGHTED policy (a second, independent
+// instantiation of the store views), dense rows this time so every id from
+// 0 to m-1 is a candidate. Dense at m = 65537 is 65537 doubles per job, so
+// n is kept tiny.
+TEST(DispatchIndex, WeightedExtMachineIdsAboveUint16MatchLinear) {
+  constexpr std::size_t m = 65537;
+  std::vector<Job> jobs;
+  for (std::size_t k = 0; k < 4; ++k) {
+    Job job;
+    job.id = static_cast<JobId>(k);
+    job.release = static_cast<Time>(k) * 0.5;
+    job.weight = 1.0 + 0.5 * k;
+    jobs.push_back(job);
   }
+  // Machine-major matrix; deterministic, collision-rich sizes: many exact
+  // ties so the (lambda, id) tie-break is exercised across the whole range.
+  std::vector<std::vector<Work>> processing(m, std::vector<Work>(4));
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t k = 0; k < 4; ++k) {
+      processing[i][k] = 1.0 + static_cast<double>((i * 7 + k) % 13);
+    }
+  }
+  const Instance instance(std::move(jobs), std::move(processing));
+
+  WeightedFlowOptions indexed;
+  indexed.epsilon = 0.4;
+  indexed.dispatch = DispatchMode::kIndexed;
+  WeightedFlowOptions linear = indexed;
+  linear.dispatch = DispatchMode::kLinearScan;
+  const WeightedFlowResult a = run_weighted_rejection_flow(instance, indexed);
+  const WeightedFlowResult b = run_weighted_rejection_flow(instance, linear);
+  expect_same_schedule(a.schedule, b.schedule, "wext m=65537");
+  EXPECT_EQ(a.rejected_weight, b.rejected_weight);
 }
 
 }  // namespace

@@ -6,10 +6,10 @@
 // (same schedule under a zero-tolerance diff, same counters, same
 // certificates, double for double) over all backends of the same workload,
 // for every family, eligibility density, machine count and seed. Plus the
-// CSR edge cases (single-eligible-machine jobs, the uint16 → uint32
-// order-width boundary at m = 65535/65536/65537), the façade accessor
-// equivalences the checkers/metrics rely on, and the generated family's
-// materialize-vs-synthesize bit equality.
+// CSR edge cases (single-eligible-machine jobs, machine ids above the
+// uint16 range at m = 65537), the façade accessor equivalences the
+// checkers/metrics rely on, the exact dense byte footprint, and the
+// generated family's materialize-vs-synthesize bit equality.
 //
 // The rotating OSCHED_FUZZ_SEED hook lets CI explore fresh instances every
 // run, reproducibly. `ctest -L backend-matrix` selects this wall.
@@ -161,7 +161,6 @@ TEST(StorageBackend, GeneratorViewServesRowsAndBounds) {
   const Instance gen =
       workload::make_closed_form_instance(config, StorageBackend::kGenerator);
   const GeneratorStoreView view(gen);
-  EXPECT_EQ(view.p_order_row(0), nullptr);
   for (std::size_t j = 0; j < config.num_jobs; ++j) {
     const auto job = static_cast<JobId>(j);
     const Work* row = view.processing_row(job);
@@ -246,88 +245,61 @@ TEST(StorageBackend, SingleEligibleMachineJobs) {
   expect_same_summary(a, b, "single-eligible");
 }
 
-TEST(StorageBackend, OrderWidthBoundaryAcrossMatrixBackends) {
-  // m = 65535 is the last machine count with uint16 order-table ids;
-  // 65536/65537 widen to uint32. Every cell must build the table at the
-  // right width in BOTH matrix backends and agree with dense bit for bit.
-  for (const std::size_t m :
-       {std::size_t{65535}, std::size_t{65536}, std::size_t{65537}}) {
-    std::vector<Job> jobs;
-    std::vector<std::vector<SparseEntry>> rows;
-    for (std::size_t j = 0; j < 6; ++j) {
-      Job job;
-      job.id = static_cast<JobId>(j);
-      job.release = static_cast<double>(j);
-      job.weight = 1.0;
-      jobs.push_back(job);
-      // A handful of eligible machines spread across the id range,
-      // including the very last machine (the id that overflows uint16
-      // once m > 65536).
-      std::vector<SparseEntry> row;
-      row.push_back(SparseEntry{static_cast<MachineId>(j), 2.0});
-      row.push_back(SparseEntry{static_cast<MachineId>(30000 + 7 * j), 1.5});
-      row.push_back(SparseEntry{static_cast<MachineId>(m - 1), 3.0});
-      rows.push_back(std::move(row));
-    }
-    const Instance sparse =
-        Instance::from_sparse_rows(jobs, m, std::move(rows));
-    ASSERT_TRUE(sparse.validate().empty()) << sparse.validate();
-    const int expect_width = m < 65536 ? 16 : 32;
-    const Instance dense = sparse.with_backend(StorageBackend::kDense);
-    for (const Instance* instance : {&sparse, &dense}) {
-      EXPECT_TRUE(instance->dispatch_index_active()) << "m=" << m;
-      EXPECT_EQ(instance->dispatch_order_width(), expect_width) << "m=" << m;
-    }
-    // Both widths remain order-table-equal across backends: the CSR-shaped
-    // tables must rank the same machines identically.
-    for (std::size_t j = 0; j < 6; ++j) {
-      const auto job = static_cast<JobId>(j);
-      const std::size_t count = sparse.eligible_machines(job).size();
-      if (expect_width == 16) {
-        const std::uint16_t* oa = dense.p_order_row(job);
-        const std::uint16_t* ob = sparse.p_order_row(job);
-        ASSERT_TRUE(oa != nullptr && ob != nullptr) << "m=" << m;
-        for (std::size_t k = 0; k < count; ++k) EXPECT_EQ(oa[k], ob[k]);
-      } else {
-        const std::uint32_t* oa = dense.p_order32_row(job);
-        const std::uint32_t* ob = sparse.p_order32_row(job);
-        ASSERT_TRUE(oa != nullptr && ob != nullptr) << "m=" << m;
-        for (std::size_t k = 0; k < count; ++k) EXPECT_EQ(oa[k], ob[k]);
-      }
-    }
-    expect_same_summary(api::run(api::Algorithm::kTheorem1, sparse),
-                        api::run(api::Algorithm::kTheorem1, dense),
-                        "width boundary m=" + std::to_string(m));
-    // And the indexed table (either width) stays bit-identical to the
-    // exhaustive linear scan, the mode with no order table at all.
-    RejectionFlowOptions indexed;
-    indexed.epsilon = 0.5;
-    RejectionFlowOptions linear = indexed;
-    linear.dispatch = DispatchMode::kLinearScan;
-    expect_same_schedule(run_rejection_flow(sparse, indexed).schedule,
-                         run_rejection_flow(sparse, linear).schedule,
-                         "vs linear m=" + std::to_string(m));
+TEST(StorageBackend, MachineIdsAboveUint16AcrossMatrixBackends) {
+  // m = 65537: machine ids past the uint16 range. Both matrix backends must
+  // agree bit for bit, and indexed dispatch must match the exhaustive
+  // linear scan on each.
+  constexpr std::size_t m = 65537;
+  std::vector<Job> jobs;
+  std::vector<std::vector<SparseEntry>> rows;
+  for (std::size_t j = 0; j < 6; ++j) {
+    Job job;
+    job.id = static_cast<JobId>(j);
+    job.release = static_cast<double>(j);
+    job.weight = 1.0;
+    jobs.push_back(job);
+    // A handful of eligible machines spread across the id range,
+    // including the very last machine (an id that overflows uint16).
+    std::vector<SparseEntry> row;
+    row.push_back(SparseEntry{static_cast<MachineId>(j), 2.0});
+    row.push_back(SparseEntry{static_cast<MachineId>(30000 + 7 * j), 1.5});
+    row.push_back(SparseEntry{static_cast<MachineId>(m - 1), 1.0});
+    rows.push_back(std::move(row));
+  }
+  const Instance sparse = Instance::from_sparse_rows(jobs, m, std::move(rows));
+  ASSERT_TRUE(sparse.validate().empty()) << sparse.validate();
+  const Instance dense = sparse.with_backend(StorageBackend::kDense);
+  expect_same_summary(api::run(api::Algorithm::kTheorem1, sparse),
+                      api::run(api::Algorithm::kTheorem1, dense),
+                      "sparse vs dense m=65537");
+  RejectionFlowOptions indexed;
+  indexed.epsilon = 0.5;
+  RejectionFlowOptions linear = indexed;
+  linear.dispatch = DispatchMode::kLinearScan;
+  for (const Instance* instance : {&sparse, &dense}) {
+    const std::string context =
+        std::string("vs linear ") + to_string(instance->backend());
+    expect_same_schedule(run_rejection_flow(*instance, indexed).schedule,
+                         run_rejection_flow(*instance, linear).schedule,
+                         context);
   }
 }
 
-TEST(StorageBackend, OrderWidthBoundaryGeneratorAgrees) {
-  // The generator backend never builds an order table — at the huge-m
-  // boundary its order-less dispatch must still match the dense twin's
-  // uint32-indexed dispatch decision for decision. Fully eligible closed
-  // form, tiny n so the dense materialization stays a few megabytes.
+TEST(StorageBackend, GeneratorAgreesWithDenseAboveUint16) {
+  // The fully eligible closed form at m = 65537, synthesized vs
+  // materialized: decision for decision. Tiny n so the dense
+  // materialization stays a few megabytes.
   workload::ClosedFormConfig config;
   config.num_jobs = 6;
-  config.num_machines = 65536;
+  config.num_machines = 65537;
   config.seed = base_seed() + 65;
   const Instance gen =
       workload::make_closed_form_instance(config, StorageBackend::kGenerator);
   const Instance dense =
       workload::make_closed_form_instance(config, StorageBackend::kDense);
-  EXPECT_EQ(gen.dispatch_order_width(), 0);
-  EXPECT_EQ(dense.dispatch_order_width(), 32);
   expect_same_summary(api::run(api::Algorithm::kTheorem1, gen),
                       api::run(api::Algorithm::kTheorem1, dense),
-                      "generator at the width boundary");
+                      "generator vs dense m=65537");
 }
 
 TEST(StorageBackend, SparseValidationCatchesMalformedRows) {
@@ -371,13 +343,6 @@ TEST(StorageBackend, FacadeAccessorsAgree) {
     for (std::size_t k = 0; k < a.size(); ++k) {
       EXPECT_EQ(a.first[k], b.first[k]);
     }
-    // The order tables are CSR-shaped in both backends and must match.
-    const std::uint16_t* oa = dense.p_order_row(job);
-    const std::uint16_t* ob = sparse.p_order_row(job);
-    ASSERT_TRUE(oa != nullptr && ob != nullptr);
-    for (std::size_t k = 0; k < a.size(); ++k) {
-      EXPECT_EQ(oa[k], ob[k]);
-    }
     for (std::size_t i = 0; i < dense.num_machines(); ++i) {
       EXPECT_EQ(dense.processing(static_cast<MachineId>(i), job),
                 sparse.processing(static_cast<MachineId>(i), job));
@@ -385,33 +350,49 @@ TEST(StorageBackend, FacadeAccessorsAgree) {
   }
 }
 
-TEST(StorageBackend, DispatchIndexFlagTracksTheOrderTable) {
-  // RunSummary::dispatch_index_active surfaces whether the (p, id) order
-  // table backed the run — true for the matrix backends (below the uint16
-  // ceiling; dispatch_index_test covers the boundary), false for the
-  // generator backend, which never builds one.
+TEST(StorageBackend, DispatchIndexFlagIsFalseOnEveryBackend) {
+  // RunSummary::dispatch_index_active reported whether a precomputed
+  // (p, id) machine order backed the run. No backend builds one, so the
+  // flag reads false everywhere, through the instance and the facade.
   workload::ClosedFormConfig config;
   config.num_jobs = 60;
   config.num_machines = 6;
   config.seed = base_seed() + 53;
-  const Instance dense =
-      workload::make_closed_form_instance(config, StorageBackend::kDense);
-  const Instance sparse =
-      workload::make_closed_form_instance(config, StorageBackend::kSparseCsr);
-  const Instance gen =
-      workload::make_closed_form_instance(config, StorageBackend::kGenerator);
-  EXPECT_TRUE(dense.dispatch_index_active());
-  EXPECT_TRUE(sparse.dispatch_index_active());
-  EXPECT_FALSE(gen.dispatch_index_active());
-  EXPECT_TRUE(
-      api::run(api::Algorithm::kGreedySpt, dense).dispatch_index_active);
-  EXPECT_FALSE(
-      api::run(api::Algorithm::kGreedySpt, gen).dispatch_index_active);
+  for (const StorageBackend backend :
+       {StorageBackend::kDense, StorageBackend::kSparseCsr,
+        StorageBackend::kGenerator}) {
+    const Instance instance =
+        workload::make_closed_form_instance(config, backend);
+    EXPECT_FALSE(instance.dispatch_index_active()) << to_string(backend);
+    EXPECT_FALSE(api::run(api::Algorithm::kGreedySpt, instance)
+                     .dispatch_index_active)
+        << to_string(backend);
+  }
 
   // The shared closed form is reachable for streaming handoff (and only
   // from the backend that has one).
+  const Instance gen =
+      workload::make_closed_form_instance(config, StorageBackend::kGenerator);
+  const Instance dense =
+      workload::make_closed_form_instance(config, StorageBackend::kDense);
   EXPECT_NE(gen.shared_generator(), nullptr);
   EXPECT_DEATH(dense.shared_generator(), "");
+}
+
+TEST(StorageBackend, DenseStoreBytesAreExactlyItsTables) {
+  // Dense footprint = job records + n×m doubles + the n×m float shadow +
+  // one int32 per eligible entry + n+1 offsets, and nothing else.
+  const Instance dense = make_workload(0.4, base_seed() + 71, 150, 9);
+  const std::size_t n = dense.num_jobs();
+  const std::size_t m = dense.num_machines();
+  std::size_t eligible = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    eligible += dense.eligible_machines(static_cast<JobId>(j)).size();
+  }
+  ASSERT_LT(eligible, n * m);  // restricted: the adjacency is not n×m
+  EXPECT_EQ(dense.store_bytes(),
+            n * sizeof(Job) + n * m * sizeof(Work) + n * m * sizeof(float) +
+                eligible * sizeof(MachineId) + (n + 1) * sizeof(std::size_t));
 }
 
 TEST(StorageBackend, StoreBytesCollapseForSparseFamilies) {
