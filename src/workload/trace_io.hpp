@@ -13,7 +13,9 @@
 //           trace at m = 4096 is a few pairs per row instead of >99%
 //           literal "inf" tokens.
 //
-// Both dialects round-trip every double exactly through %.17g formatting.
+// Both dialects round-trip every double exactly: the writer formats with
+// std::to_chars(v, chars_format::general, 17), which the standard defines
+// as printf's %.17g in the C locale, so the bytes are those of %.17g.
 // The dense form is the compatibility dialect — every pre-existing trace
 // parses unchanged; the writer picks the sparse form for sparse-CSR
 // instances (and on request).
@@ -24,11 +26,23 @@
 // text or the full instance; TraceStreamWriter appends rows as jobs are
 // produced. The whole-file helpers below are thin wrappers over them, so
 // there is exactly one parser/formatter for the trace dialect.
+//
+// A row of plain numbers allocates nothing beyond its StreamJob payload.
+// The reader pulls the stream through one reused block (64 KiB, grown only
+// to fit the longest line), so it reads ahead of the rows it has handed
+// out, and a refill waits for a full block or end of stream. It splits
+// each line in place into string_views and parses numbers with
+// std::from_chars. Two fallbacks keep the accepted grammar that of strtod
+// over util::parse_csv: a field from_chars does not consume whole, or
+// reads as NaN, is re-parsed by strtod on a copy (leading blanks, '+', hex
+// floats, overflow to inf, NaN payloads, embedded NUL), and a line holding
+// '"' or an interior '\r' is split by util::parse_csv.
 #pragma once
 
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "instance/instance.hpp"
@@ -65,6 +79,8 @@ class TraceStreamWriter {
   std::size_t num_machines_;
   TraceFormat format_;
   std::size_t rows_written_ = 0;
+  std::string row_;                ///< reused row text
+  std::vector<Work> dense_row_;    ///< reused scatter row (sparse -> dense)
 };
 
 /// Incremental, bounded-memory trace reader: parses the header on
@@ -90,8 +106,13 @@ class TraceStreamReader {
 
  private:
   bool fail(const std::string& message);
-  /// Reads the next non-blank data line; false at EOF/error.
-  bool next_row(std::vector<std::string>& fields);
+  /// Splits the next non-blank line into fields_; false at EOF/error.
+  bool next_row();
+  /// Hands out the next physical line, without its '\n', as a view into
+  /// block_ that the next call invalidates; false at end of stream.
+  bool next_line(std::string_view& line);
+  /// Parses the row in fields_ into `job`; false (error set) if malformed.
+  bool parse_job(StreamJob& job);
 
   std::istream& in_;
   std::string error_;
@@ -99,6 +120,15 @@ class TraceStreamReader {
   TraceFormat format_ = TraceFormat::kDense;
   std::size_t rows_read_ = 0;
   std::size_t line_number_ = 0;  ///< physical line index (header = 0)
+
+  std::vector<char> block_;      ///< read buffer; holds [begin_, end_)
+  std::size_t begin_ = 0;
+  std::size_t end_ = 0;
+  bool exhausted_ = false;       ///< the stream has delivered its last byte
+  /// The current row's fields: views into block_, or into quoted_ when the
+  /// line went through util::parse_csv.
+  std::vector<std::string_view> fields_;
+  std::vector<std::string> quoted_;
 };
 
 /// Serializes in the instance's natural dialect: sparse-CSR instances emit
