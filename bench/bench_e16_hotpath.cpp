@@ -17,19 +17,18 @@
 // determinism diffs) and "slow" (excluded from quick batches via the
 // "-slow" filter token; CI's perf-smoke job runs it at --scale 0.05).
 #include "core/flow/rejection_flow.hpp"
+#include "harness/peak_rss.hpp"
 #include "harness/registry.hpp"
 #include "util/timer.hpp"
 #include "workload/generators.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
 
 namespace {
 
 using namespace osched;
 using harness::CaseSpec;
 using harness::MetricRow;
+using harness::peak_rss_mib;
 using harness::Scenario;
 using harness::ScenarioReport;
 using harness::UnitContext;
@@ -40,22 +39,6 @@ enum class Family {
   kSparse,       ///< restricted assignment: few eligible machines per job
   kAdversarial,  ///< bursty bimodal overload: heavy Rule 1/2 churn
 };
-
-/// Process peak RSS in MiB (0.0 where unsupported). Monotone over the
-/// process lifetime: meaningful for sizing single-unit (--jobs 1) runs.
-double peak_rss_mib() {
-#if defined(__unix__) || defined(__APPLE__)
-  struct rusage usage {};
-  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0.0;
-#if defined(__APPLE__)
-  return static_cast<double>(usage.ru_maxrss) / (1024.0 * 1024.0);
-#else
-  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // Linux: KiB
-#endif
-#else
-  return 0.0;
-#endif
-}
 
 Instance hotpath_workload(Family family, std::size_t n, std::size_t m,
                           double eligibility, std::uint64_t seed) {

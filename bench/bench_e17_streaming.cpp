@@ -24,6 +24,7 @@
 #include <span>
 
 #include "api/scheduler_api.hpp"
+#include "harness/peak_rss.hpp"
 #include "harness/registry.hpp"
 #include "service/scheduler_session.hpp"
 #include "service/shard_driver.hpp"
@@ -32,15 +33,13 @@
 #include "workload/generators.hpp"
 #include "workload/trace_io.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
 
 namespace {
 
 using namespace osched;
 using harness::CaseSpec;
 using harness::MetricRow;
+using harness::peak_rss_mib;
 using harness::Scenario;
 using harness::ScenarioReport;
 using harness::UnitContext;
@@ -56,22 +55,6 @@ enum class Mode {
   kTraceFed,     ///< CSV written chunk-wise, then parse-and-feed streamed
   kBatch,        ///< api::run on the materialized twin of kStream's workload
 };
-
-/// Process peak RSS in MiB (0.0 where unsupported); monotone over the
-/// process lifetime, hence the streaming-first grid order.
-double peak_rss_mib() {
-#if defined(__unix__) || defined(__APPLE__)
-  struct rusage usage {};
-  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0.0;
-#if defined(__APPLE__)
-  return static_cast<double>(usage.ru_maxrss) / (1024.0 * 1024.0);
-#else
-  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // Linux: KiB
-#endif
-#else
-  return 0.0;
-#endif
-}
 
 /// One 64k-job slice of the endless dense stream: heavy-tailed sizes at
 /// load 1.1 (the e16 dense family), seeded per (root, chunk) so any prefix

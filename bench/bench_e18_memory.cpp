@@ -26,13 +26,11 @@
 #include <string>
 
 #include "core/flow/rejection_flow.hpp"
+#include "harness/peak_rss.hpp"
 #include "harness/registry.hpp"
 #include "util/timer.hpp"
 #include "workload/generated_family.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
 #if defined(__GLIBC__)
 #include <malloc.h>
 #endif
@@ -47,26 +45,11 @@ namespace {
 using namespace osched;
 using harness::CaseSpec;
 using harness::MetricRow;
+using harness::peak_rss_mib;
 using harness::Scenario;
 using harness::ScenarioReport;
 using harness::UnitContext;
 using harness::Verdict;
-
-/// Process peak RSS in MiB (0.0 where unsupported); monotone over the
-/// process lifetime, hence compact-backends-first grid order.
-double peak_rss_mib() {
-#if defined(__unix__) || defined(__APPLE__)
-  struct rusage usage {};
-  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0.0;
-#if defined(__APPLE__)
-  return static_cast<double>(usage.ru_maxrss) / (1024.0 * 1024.0);
-#else
-  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // Linux: KiB
-#endif
-#else
-  return 0.0;
-#endif
-}
 
 /// CURRENT resident set in MiB (0.0 where unsupported). Unlike the peak,
 /// this moves down when memory is returned, so before/after deltas isolate

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "api/scheduler_api.hpp"
+#include "harness/peak_rss.hpp"
 #include "harness/registry.hpp"
 #include "service/scheduler_session.hpp"
 #include "service/shard_driver.hpp"
@@ -41,15 +42,13 @@
 #include "util/timer.hpp"
 #include "workload/generated_family.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
 
 namespace {
 
 using namespace osched;
 using harness::CaseSpec;
 using harness::MetricRow;
+using harness::peak_rss_mib;
 using harness::Scenario;
 using harness::ScenarioReport;
 using harness::UnitContext;
@@ -71,22 +70,6 @@ enum class TwinFamily {
   kRestricted = 0,  ///< bench-local k-of-m sparse closed form
   kClosedForm,      ///< workload/generated_family, fully eligible
 };
-
-/// Process peak RSS in MiB (0.0 where unsupported); monotone over the
-/// process lifetime, hence compact-cases-first grid order.
-double peak_rss_mib() {
-#if defined(__unix__) || defined(__APPLE__)
-  struct rusage usage {};
-  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0.0;
-#if defined(__APPLE__)
-  return static_cast<double>(usage.ru_maxrss) / (1024.0 * 1024.0);
-#else
-  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // Linux: KiB
-#endif
-#else
-  return 0.0;
-#endif
-}
 
 // --------------------------------------- the bench-local sparse closed form
 

@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "api/scheduler_api.hpp"
+#include "harness/peak_rss.hpp"
 #include "harness/registry.hpp"
 #include "service/scheduler_session.hpp"
 #include "service/shard_driver.hpp"
@@ -51,15 +52,13 @@
 #include "util/timer.hpp"
 #include "workload/generated_family.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
 
 namespace {
 
 using namespace osched;
 using harness::CaseSpec;
 using harness::MetricRow;
+using harness::peak_rss_mib;
 using harness::Scenario;
 using harness::ScenarioReport;
 using harness::UnitContext;
@@ -86,20 +85,6 @@ enum class Mode {
   kDispatch,    ///< batch dispatch sweep cell (generator backend)
   kDispatchSparse,  ///< huge-m sparse cell: ~64 eligible machines per job
 };
-
-double peak_rss_mib() {
-#if defined(__unix__) || defined(__APPLE__)
-  struct rusage usage {};
-  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0.0;
-#if defined(__APPLE__)
-  return static_cast<double>(usage.ru_maxrss) / (1024.0 * 1024.0);
-#else
-  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // Linux: KiB
-#endif
-#else
-  return 0.0;
-#endif
-}
 
 workload::ClosedFormConfig fleet_config(std::uint64_t seed, std::size_t n,
                                         std::size_t m) {

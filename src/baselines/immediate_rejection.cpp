@@ -1,7 +1,6 @@
 #include "baselines/immediate_rejection.hpp"
 
 #include "baselines/immediate_rejection_policy.hpp"
-#include "instance/processing_store.hpp"
 #include "sim/engine.hpp"
 
 namespace osched {
@@ -11,21 +10,18 @@ ImmediateRejectionResult run_immediate_rejection(
   const std::string problems = instance.validate();
   OSCHED_CHECK(problems.empty()) << "invalid instance: " << problems;
 
-  // One full instantiation per storage backend (see processing_store.hpp).
-  return with_store_view(instance, [&](const auto& view) {
-    using Store = std::decay_t<decltype(view)>;
-    SimEngineFor<Store> engine(view, &options.fleet);
-    Schedule schedule(view.num_jobs());
-    ImmediateRejectionPolicy<Store, Schedule> policy(view, schedule,
-                                                     engine.events(), options);
-    engine.run(policy);
+  const StoreReader store(instance.store());
+  SimEngineFor<StoreReader> engine(store, &options.fleet);
+  Schedule schedule(store.num_jobs());
+  ImmediateRejectionPolicy<StoreReader, Schedule> policy(
+      store, schedule, engine.events(), options);
+  engine.run(policy);
 
-    ImmediateRejectionResult result;
-    result.schedule = std::move(schedule);
-    result.rejections = policy.rejections();
-    result.fleet = policy.fleet_stats();
-    return result;
-  });
+  ImmediateRejectionResult result;
+  result.schedule = std::move(schedule);
+  result.rejections = policy.rejections();
+  result.fleet = policy.fleet_stats();
+  return result;
 }
 
 }  // namespace osched

@@ -1,7 +1,6 @@
 #include "baselines/list_scheduler.hpp"
 
 #include "baselines/list_scheduler_policy.hpp"
-#include "instance/processing_store.hpp"
 #include "sim/engine.hpp"
 
 namespace osched {
@@ -29,17 +28,14 @@ Schedule run_list_scheduler(const Instance& instance,
   const std::string problems = instance.validate();
   OSCHED_CHECK(problems.empty()) << "invalid instance: " << problems;
 
-  // One full instantiation per storage backend (see processing_store.hpp).
-  return with_store_view(instance, [&](const auto& view) {
-    using Store = std::decay_t<decltype(view)>;
-    SimEngineFor<Store> engine(view, &options.fleet);
-    Schedule schedule(view.num_jobs());
-    ListSchedulerPolicy<Store, Schedule> policy(view, schedule, engine.events(),
-                                                options);
-    engine.run(policy);
-    if (fleet_stats != nullptr) *fleet_stats = policy.fleet_stats();
-    return schedule;
-  });
+  const StoreReader store(instance.store());
+  SimEngineFor<StoreReader> engine(store, &options.fleet);
+  Schedule schedule(store.num_jobs());
+  ListSchedulerPolicy<StoreReader, Schedule> policy(store, schedule,
+                                                    engine.events(), options);
+  engine.run(policy);
+  if (fleet_stats != nullptr) *fleet_stats = policy.fleet_stats();
+  return schedule;
 }
 
 }  // namespace osched

@@ -3,8 +3,8 @@
 // The algorithm itself (dispatch by argmin lambda_ij, Rule 1/Rule 2
 // rejections, SPT pending queues over the arena treap) lives here as a
 // template over
-//   Store — where job data comes from: the batch `Instance`, or the
-//           streaming session's `service::StreamingJobStore`. Must provide
+//   Store — where job data comes from: a `StoreReader` over the batch
+//           Instance's store or the streaming session's. Must provide
 //           job(j), processing_unchecked(i, j), processing_row(j),
 //           eligible_machines(j) and num_machines() with Instance's
 //           semantics.
@@ -466,8 +466,8 @@ class RejectionFlowPolicy final : public SimulationHooks {
     // and skips are sound, so the live list's order never changes the
     // outcome. The bound's p converts the double row entry in-register:
     // float_lower(rowd[i]) IS the shadow entry bit for bit, and it leaves
-    // the lazily-filled streaming shadow (service::StreamingJobStore)
-    // untouched on this path.
+    // the lazily-filled streaming shadow (JobStore::bounds_row) untouched
+    // on this path.
     for (const std::uint32_t i : live_list_) {
       const auto machine = static_cast<MachineId>(i);
       if (!fleet_.active(i)) continue;  // draining machines stay live

@@ -1,7 +1,6 @@
 #include "extensions/weighted_flow.hpp"
 
 #include "extensions/weighted_flow_policy.hpp"
-#include "instance/processing_store.hpp"
 #include "sim/engine.hpp"
 
 namespace osched {
@@ -11,23 +10,20 @@ WeightedFlowResult run_weighted_rejection_flow(
   const std::string problems = instance.validate();
   OSCHED_CHECK(problems.empty()) << "invalid instance: " << problems;
 
-  // One full instantiation per storage backend (see processing_store.hpp).
-  return with_store_view(instance, [&](const auto& view) {
-    using Store = std::decay_t<decltype(view)>;
-    SimEngineFor<Store> engine(view, &options.fleet);
-    Schedule schedule(view.num_jobs());
-    WeightedFlowPolicy<Store, Schedule> policy(view, schedule, engine.events(),
-                                               options);
-    engine.run(policy);
+  const StoreReader store(instance.store());
+  SimEngineFor<StoreReader> engine(store, &options.fleet);
+  Schedule schedule(store.num_jobs());
+  WeightedFlowPolicy<StoreReader, Schedule> policy(store, schedule,
+                                                   engine.events(), options);
+  engine.run(policy);
 
-    WeightedFlowResult result;
-    result.rule1_rejections = policy.rule1_rejections();
-    result.rule2_rejections = policy.rule2_rejections();
-    result.rejected_weight = policy.rejected_weight();
-    result.fleet = policy.fleet_stats();
-    result.schedule = std::move(schedule);
-    return result;
-  });
+  WeightedFlowResult result;
+  result.rule1_rejections = policy.rule1_rejections();
+  result.rule2_rejections = policy.rule2_rejections();
+  result.rejected_weight = policy.rejected_weight();
+  result.fleet = policy.fleet_stats();
+  result.schedule = std::move(schedule);
+  return result;
 }
 
 }  // namespace osched

@@ -1,22 +1,13 @@
 #include "instance/instance.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <numeric>
-#include <ostream>
 #include <sstream>
 
-namespace osched {
+#include "instance/stream_job.hpp"
 
-const char* to_string(StorageBackend backend) {
-  switch (backend) {
-    case StorageBackend::kDense: return "dense";
-    case StorageBackend::kSparseCsr: return "sparse-csr";
-    case StorageBackend::kGenerator: return "generator";
-  }
-  return "?";
-}
+namespace osched {
 
 namespace {
 
@@ -33,67 +24,45 @@ std::vector<std::size_t> release_order(const std::vector<Job>& jobs) {
   return perm;
 }
 
-std::vector<Job> apply_order(std::vector<Job> jobs,
-                             const std::vector<std::size_t>& perm) {
-  std::vector<Job> sorted(jobs.size());
-  for (std::size_t pos = 0; pos < perm.size(); ++pos) {
-    sorted[pos] = jobs[perm[pos]];
-    sorted[pos].id = static_cast<JobId>(pos);
-  }
-  return sorted;
-}
+/// A sealed store is one block of exactly n rows.
+std::size_t one_block(std::size_t n) { return std::max<std::size_t>(n, 1); }
 
 }  // namespace
 
-void Instance::check_job_fields(const Job& job, std::size_t j,
-                                std::ostream& problems) {
-  if (job.release < 0.0) {
-    problems << "job " << j << " has negative release; ";
-  } else if (!std::isfinite(job.release)) {
-    // NaN compares false against everything, so it needs its own branch
-    // or it would sail through all the ordering checks below.
-    problems << "job " << j << " has non-finite release; ";
-  }
-  if (!(job.weight > 0.0)) {  // catches NaN weights too
-    problems << "job " << j << " has non-positive weight; ";
-  } else if (job.weight >= kTimeInfinity) {
-    problems << "job " << j << " has infinite weight; ";
-  }
-  if (!(job.deadline > job.release)) {  // catches NaN deadlines too
-    problems << "job " << j << " has deadline <= release; ";
-  }
+Instance::Instance(JobStore store, std::string problems)
+    : store_(std::move(store)), problems_(std::move(problems)) {
+  store_.fill_shadow();
 }
+
+Instance::Instance()
+    : Instance(std::vector<Job>{}, std::vector<std::vector<Work>>{}) {}
 
 Instance::Instance(std::vector<Job> jobs,
                    std::vector<std::vector<Work>> processing)
-    : jobs_(std::move(jobs)),
-      num_machines_(processing.size()),
-      backend_(StorageBackend::kDense) {
+    : store_(processing.size(), one_block(jobs.size())) {
   for (const auto& row : processing) {
-    OSCHED_CHECK_EQ(row.size(), jobs_.size())
+    OSCHED_CHECK_EQ(row.size(), jobs.size())
         << "processing matrix row width must equal the number of jobs";
   }
 
-  // Sort jobs by (release, id) and renumber, permuting matrix columns to
-  // match. Release order is the order the online algorithms see arrivals.
-  const std::vector<std::size_t> perm = release_order(jobs_);
-  jobs_ = apply_order(std::move(jobs_), perm);
+  // Sort jobs by (release, id), permuting matrix columns to match.
+  const std::vector<std::size_t> perm = release_order(jobs);
 
-  // Transpose the machine-major input into the job-major buffer eight
-  // machines at a time (one cache line of each job's row per block), and
-  // release each input row as soon as its block is copied, so the input
-  // and the flat buffer coexist only once and the shadow and adjacency
-  // allocated below can reuse the freed rows. The same pass counts the
-  // eligible entries, so the adjacency is reserved exactly.
-  const std::size_t n = jobs_.size();
-  const std::size_t m = num_machines_;
+  // Transpose the machine-major input into the store's job-major block
+  // eight machines at a time (one cache line of each job's row per block),
+  // and release each input row as soon as its block is copied, so the
+  // input and the block coexist only once and the shadow and adjacency the
+  // store allocates next can reuse the freed rows. The same pass counts
+  // the eligible entries, so the adjacency is allocated exactly.
+  const std::size_t n = jobs.size();
+  const std::size_t m = processing.size();
   constexpr std::size_t kTransposeBlock = 8;
-  processing_.resize(m * n);
+  std::vector<Work> rows(m * n);
   std::size_t num_eligible = 0;
   for (std::size_t lo = 0; lo < m; lo += kTransposeBlock) {
     const std::size_t hi = std::min(m, lo + kTransposeBlock);
     for (std::size_t pos = 0; pos < n; ++pos) {
-      Work* job_slice = processing_.data() + pos * m;
+      Work* job_slice = rows.data() + pos * m;
       const std::size_t original = perm[pos];
       for (std::size_t i = lo; i < hi; ++i) {
         const Work p = processing[i][original];
@@ -105,43 +74,12 @@ Instance::Instance(std::vector<Job> jobs,
       std::vector<Work>().swap(processing[i]);
     }
   }
+  std::vector<Job> sorted(n);
+  for (std::size_t pos = 0; pos < n; ++pos) sorted[pos] = jobs[perm[pos]];
 
-  // Float shadow, per-job eligible-machine adjacency (ascending machine
-  // index) and validation in one pass over the flat buffer (KEEP the checks
-  // in sync with service::StreamingJobStore::check_job): an Instance is
-  // immutable, so the verdict is computed once here and validate() just
-  // returns it — run_* entry points used to re-scan the whole matrix per
-  // run, which showed up as ~15% of the measured scheduling time in the
-  // perf tier.
-  bounds_.resize(m * n);
   std::ostringstream problems;
-  if (m == 0) problems << "no machines; ";
-  eligible_offsets_.assign(n + 1, 0);
-  eligible_flat_.reserve(num_eligible);
-  for (std::size_t j = 0; j < n; ++j) {
-    check_job_fields(jobs_[j], j, problems);
-    const Work* job_slice = processing_.data() + j * m;
-    float* bounds_slice = bounds_.data() + j * m;
-    bool any_eligible = false;
-    for (std::size_t i = 0; i < m; ++i) {
-      const Work p = job_slice[i];
-      bounds_slice[i] = float_lower(p);
-      if (p < kTimeInfinity) {
-        any_eligible = true;
-        if (p <= 0.0) {
-          problems << "p[" << i << "][" << j << "] is non-positive; ";
-        }
-        eligible_flat_.push_back(static_cast<MachineId>(i));
-      } else if (std::isnan(p)) {
-        problems << "p[" << i << "][" << j << "] is NaN; ";
-      }
-    }
-    if (m > 0 && !any_eligible) {
-      problems << "job " << j << " has no eligible machine; ";
-    }
-    eligible_offsets_[j + 1] = eligible_flat_.size();
-  }
-  validation_problems_ = problems.str();
+  store_.adopt_dense_rows(sorted, std::move(rows), num_eligible, problems);
+  problems_ = problems.str();
 }
 
 Instance Instance::from_sparse_rows(std::vector<Job> jobs,
@@ -149,97 +87,60 @@ Instance Instance::from_sparse_rows(std::vector<Job> jobs,
                                     std::vector<std::vector<SparseEntry>> rows) {
   OSCHED_CHECK_EQ(rows.size(), jobs.size())
       << "one sparse row per job is required";
-  Instance instance;
-  instance.backend_ = StorageBackend::kSparseCsr;
-  instance.num_machines_ = num_machines;
-  instance.jobs_ = std::move(jobs);
-
-  const std::vector<std::size_t> perm = release_order(instance.jobs_);
-  instance.jobs_ = apply_order(std::move(instance.jobs_), perm);
-
-  const std::size_t n = instance.jobs_.size();
-  std::ostringstream problems;
-  if (num_machines == 0) problems << "no machines; ";
+  const std::vector<std::size_t> perm = release_order(jobs);
+  JobStore store(num_machines, one_block(jobs.size()),
+                 StorageBackend::kSparseCsr);
   std::size_t nnz = 0;
   for (const auto& row : rows) nnz += row.size();
-  instance.eligible_offsets_.assign(n + 1, 0);
-  instance.eligible_flat_.reserve(nnz);
-  instance.csr_p_.reserve(nnz);
-  instance.csr_bounds_.reserve(nnz);
-  for (std::size_t j = 0; j < n; ++j) {
-    check_job_fields(instance.jobs_[j], j, problems);
-    const std::vector<SparseEntry>& row = rows[perm[j]];
-    MachineId previous = kInvalidMachine;
-    for (const SparseEntry& entry : row) {
-      // Strictly ascending machine ids give the same adjacency order the
-      // dense pass produces, and make processing_unchecked a binary search.
-      OSCHED_CHECK(entry.machine > previous &&
-                   static_cast<std::size_t>(entry.machine) < num_machines)
-          << "sparse row " << j << ": machine " << entry.machine
-          << " out of order or out of range";
-      previous = entry.machine;
-      if (!(entry.p > 0.0)) {  // catches NaN
-        problems << "p[" << entry.machine << "][" << j
-                 << "] is non-positive; ";
-      } else if (!(entry.p < kTimeInfinity)) {
-        // A sparse row lists ELIGIBLE entries; an infinite one is a
-        // malformed row, not a compact way to say "ineligible".
-        problems << "p[" << entry.machine << "][" << j
-                 << "] is not finite (omit ineligible machines); ";
-      }
-      instance.eligible_flat_.push_back(entry.machine);
-      instance.csr_p_.push_back(entry.p);
-      instance.csr_bounds_.push_back(float_lower(entry.p));
-    }
-    if (num_machines > 0 && row.empty()) {
-      problems << "job " << j << " has no eligible machine; ";
-    }
-    instance.eligible_offsets_[j + 1] = instance.eligible_flat_.size();
+  store.reserve(jobs.size(), nnz);
+  std::ostringstream problems;
+  StreamJob job;
+  for (const std::size_t original : perm) {
+    const Job& src = jobs[original];
+    job.release = src.release;
+    job.weight = src.weight;
+    job.deadline = src.deadline;
+    job.entries = std::move(rows[original]);
+    store.append_reporting(job, problems);
   }
-  instance.validation_problems_ = problems.str();
-  return instance;
+  return Instance(std::move(store), problems.str());
 }
 
 Instance Instance::from_generator(
     std::vector<Job> jobs, std::size_t num_machines,
     std::shared_ptr<const RowGenerator> generator) {
   OSCHED_CHECK(generator != nullptr);
-  Instance instance;
-  instance.backend_ = StorageBackend::kGenerator;
-  instance.num_machines_ = num_machines;
-  instance.jobs_ = std::move(jobs);
-  instance.generator_ = std::move(generator);
-
+  JobStore store(num_machines, one_block(jobs.size()),
+                 StorageBackend::kGenerator, std::move(generator));
+  store.reserve(jobs.size(), 0);
   std::ostringstream problems;
-  if (num_machines == 0) problems << "no machines; ";
-  for (std::size_t j = 0; j < instance.jobs_.size(); ++j) {
+  StreamJob job;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
     // The generator is indexed by final job id: require release order
     // instead of silently permuting entries out from under the closed form.
     if (j > 0) {
-      OSCHED_CHECK_GE(instance.jobs_[j].release, instance.jobs_[j - 1].release)
+      OSCHED_CHECK_GE(jobs[j].release, jobs[j - 1].release)
           << "generator-backed jobs must arrive release-sorted (job " << j
           << ")";
     }
-    instance.jobs_[j].id = static_cast<JobId>(j);
-    check_job_fields(instance.jobs_[j], j, problems);
+    fill_stream_job_meta(jobs[j], 0.0, &job);
+    store.append_reporting(job, problems);
   }
-  instance.validation_problems_ = problems.str();
-  instance.identity_machines_.resize(num_machines);
-  std::iota(instance.identity_machines_.begin(),
-            instance.identity_machines_.end(), MachineId{0});
-  return instance;
+  return Instance(std::move(store), problems.str());
 }
 
 Instance Instance::with_backend(StorageBackend target) const {
-  if (target == backend_) return *this;
+  if (target == backend()) return *this;
   OSCHED_CHECK(target != StorageBackend::kGenerator)
       << "a matrix has no closed form to recover; build generator instances "
          "with Instance::from_generator";
-  const std::size_t n = jobs_.size();
+  OSCHED_CHECK(problems_.empty())
+      << "cannot convert an invalid instance: " << problems_;
+  const std::size_t n = num_jobs();
+  const std::size_t m = num_machines();
   // The jobs are already release-sorted with ids 0..n-1, so the target
   // constructor's stable sort is the identity permutation and every p_ij
   // keeps its (i, j) address.
-  std::vector<Job> jobs = jobs_;
   if (target == StorageBackend::kSparseCsr) {
     std::vector<std::vector<SparseEntry>> rows(n);
     for (std::size_t j = 0; j < n; ++j) {
@@ -249,89 +150,29 @@ Instance Instance::with_backend(StorageBackend target) const {
         rows[j].push_back(SparseEntry{i, processing_unchecked(i, job)});
       }
     }
-    return from_sparse_rows(std::move(jobs), num_machines_, std::move(rows));
+    return from_sparse_rows(jobs(), m, std::move(rows));
   }
   std::vector<std::vector<Work>> processing(
-      num_machines_, std::vector<Work>(n, kTimeInfinity));
+      m, std::vector<Work>(n, kTimeInfinity));
   for (std::size_t j = 0; j < n; ++j) {
     const auto job = static_cast<JobId>(j);
     for (const MachineId i : eligible_machines(job)) {
       processing[static_cast<std::size_t>(i)][j] = processing_unchecked(i, job);
     }
   }
-  return Instance(std::move(jobs), std::move(processing));
-}
-
-std::size_t Instance::store_bytes() const {
-  auto bytes = [](const auto& v) { return v.size() * sizeof(v[0]); };
-  return bytes(jobs_) + bytes(processing_) + bytes(bounds_) + bytes(csr_p_) +
-         bytes(csr_bounds_) + bytes(identity_machines_) +
-         bytes(eligible_flat_) + bytes(eligible_offsets_);
-}
-
-Work Instance::sparse_lookup(MachineId i, JobId j) const {
-  const std::size_t begin = eligible_offsets_[static_cast<std::size_t>(j)];
-  const std::size_t end = eligible_offsets_[static_cast<std::size_t>(j) + 1];
-  const MachineId* first = eligible_flat_.data() + begin;
-  const MachineId* last = eligible_flat_.data() + end;
-  const MachineId* hit = std::lower_bound(first, last, i);
-  if (hit == last || *hit != i) return kTimeInfinity;
-  return csr_p_[begin + static_cast<std::size_t>(hit - first)];
-}
-
-Work Instance::min_processing(JobId j) const {
-  OSCHED_CHECK(j >= 0 && static_cast<std::size_t>(j) < jobs_.size());
-  Work best = kTimeInfinity;
-  switch (backend_) {
-    case StorageBackend::kDense:
-      for (std::size_t i = 0; i < num_machines_; ++i) {
-        best =
-            std::min(best, processing_unchecked(static_cast<MachineId>(i), j));
-      }
-      break;
-    case StorageBackend::kSparseCsr: {
-      const std::size_t begin = eligible_offsets_[static_cast<std::size_t>(j)];
-      const std::size_t end =
-          eligible_offsets_[static_cast<std::size_t>(j) + 1];
-      for (std::size_t k = begin; k < end; ++k) {
-        best = std::min(best, csr_p_[k]);
-      }
-      break;
-    }
-    case StorageBackend::kGenerator:
-      for (std::size_t i = 0; i < num_machines_; ++i) {
-        best = std::min(best, generator_->entry(j, static_cast<MachineId>(i)));
-      }
-      break;
-  }
-  return best;
+  return Instance(jobs(), std::move(processing));
 }
 
 double Instance::processing_spread() const {
   double lo = std::numeric_limits<double>::infinity();
   double hi = 0.0;
-  auto fold = [&](Work p) {
-    if (p < kTimeInfinity) {
+  for (std::size_t j = 0; j < num_jobs(); ++j) {
+    const auto job = static_cast<JobId>(j);
+    for (const MachineId i : eligible_machines(job)) {
+      const Work p = processing_unchecked(i, job);
       lo = std::min(lo, p);
       hi = std::max(hi, p);
     }
-  };
-  switch (backend_) {
-    case StorageBackend::kDense:
-      for (Work p : processing_) fold(p);
-      break;
-    case StorageBackend::kSparseCsr:
-      for (Work p : csr_p_) fold(p);
-      break;
-    case StorageBackend::kGenerator:
-      // Full closed-form sweep: analysis-only (never on a scheduling path).
-      for (std::size_t j = 0; j < jobs_.size(); ++j) {
-        for (std::size_t i = 0; i < num_machines_; ++i) {
-          fold(generator_->entry(static_cast<JobId>(j),
-                                 static_cast<MachineId>(i)));
-        }
-      }
-      break;
   }
   if (hi == 0.0) return 1.0;
   return hi / lo;
@@ -339,17 +180,13 @@ double Instance::processing_spread() const {
 
 Weight Instance::total_weight() const {
   Weight total = 0.0;
-  for (const Job& job : jobs_) total += job.weight;
+  for (const Job& job : jobs()) total += job.weight;
   return total;
 }
 
 std::string Instance::validate() const {
-  // Computed once at construction (for matrix backends, in the same pass
-  // that builds the eligibility adjacency); an Instance is immutable
-  // afterwards. The default-constructed empty Instance reports its
-  // machine-less state here.
-  if (num_machines_ == 0 && jobs_.empty()) return "no machines; ";
-  return validation_problems_;
+  if (num_machines() == 0) return "no machines; " + problems_;
+  return problems_;
 }
 
 }  // namespace osched

@@ -9,10 +9,10 @@
 #include "core/energy_flow/energy_flow_policy.hpp"
 #include "core/flow/rejection_flow_policy.hpp"
 #include "extensions/weighted_flow_policy.hpp"
+#include "instance/job_store.hpp"
 #include "instance/power.hpp"
 #include "metrics/metrics.hpp"
 #include "service/checkpoint.hpp"
-#include "service/job_store.hpp"
 #include "service/session_schedule.hpp"
 #include "sim/validator.hpp"
 
@@ -31,16 +31,16 @@ class PolicyHost {
   virtual void finalize(api::RunSummary& summary) = 0;
 };
 
-using T1Policy = RejectionFlowPolicy<StreamingJobStore, SessionSchedule>;
-using T2Policy = EnergyFlowPolicy<StreamingJobStore, SessionSchedule>;
-using WePolicy = WeightedFlowPolicy<StreamingJobStore, SessionSchedule>;
-using LsPolicy = ListSchedulerPolicy<StreamingJobStore, SessionSchedule>;
-using IrPolicy = ImmediateRejectionPolicy<StreamingJobStore, SessionSchedule>;
+using T1Policy = RejectionFlowPolicy<StoreReader, SessionSchedule>;
+using T2Policy = EnergyFlowPolicy<StoreReader, SessionSchedule>;
+using WePolicy = WeightedFlowPolicy<StoreReader, SessionSchedule>;
+using LsPolicy = ListSchedulerPolicy<StoreReader, SessionSchedule>;
+using IrPolicy = ImmediateRejectionPolicy<StoreReader, SessionSchedule>;
 
 template <class Policy, class Options>
 class HostBase : public PolicyHost {
  public:
-  HostBase(const StreamingJobStore& store, SessionSchedule& rec,
+  HostBase(const StoreReader& store, SessionSchedule& rec,
            EventQueue& events, const Options& options)
       : policy_(store, rec, events, options) {}
   SimulationHooks& hooks() override { return policy_; }
@@ -98,7 +98,7 @@ class ImmediateHost final : public HostBase<IrPolicy, ImmediateRejectionOptions>
 };
 
 std::unique_ptr<PolicyHost> make_host(api::Algorithm algorithm,
-                                      const StreamingJobStore& store,
+                                      const StoreReader& store,
                                       SessionSchedule& rec, EventQueue& events,
                                       const api::RunOptions& run) {
   switch (algorithm) {
@@ -149,7 +149,9 @@ class SchedulerSession::Impl {
         options_(options),
         store_(num_machines, /*jobs_per_block=*/4096, options.storage,
                options.generator),
-        host_(make_host(algorithm, store_, records_, events_, options.run)) {
+        reader_(store_),
+        host_(make_host(algorithm, reader_, records_, events_, options.run)) {
+    OSCHED_CHECK_GT(num_machines, 0u);
     OSCHED_CHECK(options.retain_records || !options.run.validate)
         << "low-memory sessions keep no schedule to validate; set "
            "run.validate = false (or retain records)";
@@ -294,8 +296,9 @@ class SchedulerSession::Impl {
 
     if (options_.retain_records) {
       Schedule schedule = records_.to_schedule();
-      // Destructive: the policy made its last store read before drain, and
-      // the session is finished after this call.
+      // Hands the store over without a copy: the policy made its last
+      // store read before drain, and the session is finished after this
+      // call.
       const Instance instance = store_.take_instance();
       if (options_.run.validate) {
         // Same validator invocation as api::run for these algorithms (none
@@ -587,7 +590,9 @@ class SchedulerSession::Impl {
 
   api::Algorithm algorithm_;
   SessionOptions options_;
-  StreamingJobStore store_;
+  JobStore store_;
+  /// The policy's read surface over store_ (its row tiles).
+  StoreReader reader_;
   SessionSchedule records_;
   EventQueue events_;
   Time now_ = 0.0;

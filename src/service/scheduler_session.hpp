@@ -16,9 +16,10 @@
 //
 // Memory modes:
 //  * retain_records = true (default): every record and job row is kept; at
-//    drain() the session validates the schedule and computes the objective
-//    report with the same code paths as api::run — the RunSummary is
-//    byte-identical to the batch one.
+//    drain() the session hands its job store to an Instance (no copy) and
+//    validates the schedule and computes the objective report with the
+//    same code paths as api::run — the RunSummary is byte-identical to the
+//    batch one.
 //  * retain_records = false: once a job's fate is sealed and the decided
 //    frontier passes it, its record, job row and per-job policy state are
 //    folded into running aggregates and released — the footprint tracks
@@ -133,8 +134,8 @@ struct SessionOptions {
   /// tracks the observed arrival rate between the bounds. Checkpointed as
   /// wire v4; v1–v3 blobs restore with tuning disabled.
   AdaptiveCapOptions adaptive_cap;
-  /// Processing-time storage for the session's job store (the streaming
-  /// counterpart of Instance's backend trio). kDense keeps the m-wide row
+  /// Processing-time storage for the session's job store (the same
+  /// JobStore backends an Instance uses). kDense keeps the m-wide row
   /// per job (the default; the hot path is untouched). kSparseCsr stores
   /// eligible (machine, p) entries only — a restricted-assignment tenant's
   /// matrix cost tracks its eligibility, not m. kGenerator stores NO matrix
@@ -217,7 +218,7 @@ class SchedulerSession {
   std::size_t shed_allowance() const;
 
   /// The session store's current / lifetime-peak p_ij payload bytes
-  /// (StreamingJobStore::matrix_bytes): the per-tenant memory metric that
+  /// (JobStore::matrix_bytes): the per-tenant memory metric that
   /// collapses for sparse sessions and is zero forever for generator ones.
   /// bench_e21_multitenant tracks the peak across a whole fleet.
   std::size_t matrix_bytes() const;

@@ -13,9 +13,9 @@
 // a churn-heavy run never carries a tombstone backlog.
 //
 // Ordering is (time, insertion sequence) — identical to the binary-heap
-// implementation it replaces (sim/event_queue.hpp keeps that one as
-// HeapEventQueue), which tests/event_queue_diff_test.cpp pins down with a
-// lockstep fuzz differential. Handles are generation-stamped slots with the
+// implementation it replaces (kept as the test-only reference
+// tests/heap_event_queue.hpp), which tests/event_queue_diff_test.cpp pins
+// down with a lockstep fuzz differential. Handles are generation-stamped slots with the
 // same encoding and the same double-cancel/stale-handle CHECKs as the heap
 // version.
 #pragma once

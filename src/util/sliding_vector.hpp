@@ -37,6 +37,10 @@ class SlidingVector {
 
   void reserve(std::size_t n) { data_.reserve(n); }
 
+  /// The backing vector: slot k holds id begin_index() + k only until the
+  /// first compaction, so id-indexed use needs a prefix never retired.
+  const std::vector<T>& storage() const { return data_; }
+
   /// Grows the id space to [begin_index, n), value-initializing new slots.
   /// No-op when n <= end_index().
   void extend_to(std::size_t n) {

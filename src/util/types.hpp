@@ -87,8 +87,9 @@ inline float float_lower(double x) {
   // Branchless one-ulp step toward zero whenever the nearest-rounding went
   // up (or x was +inf): the conversion runs per matrix entry on streaming
   // appends, where a 50/50 branch would mispredict constantly.
+  // (`|`, not `||`: a short-circuit is a branch, and GCC keeps it.)
   bits -= static_cast<std::uint32_t>(
-      static_cast<double>(f) > x ||
+      (static_cast<double>(f) > x) |
       !(f < std::numeric_limits<float>::infinity()));
   std::memcpy(&f, &bits, sizeof(bits));
   return f;

@@ -1,7 +1,7 @@
 // Closed-form workload family: the same instance under any storage backend.
 //
-// The storage refactor (instance/processing_store.hpp) needs workload
-// families whose p_ij is a PURE function of (seed, j, i) — then the dense
+// The storage backends (instance/job_store.hpp) need workload families
+// whose p_ij is a PURE function of (seed, j, i) — then the dense
 // matrix, the sparse CSR and the on-demand generator all hold/produce the
 // same doubles bit for bit, and the differential wall can assert that the
 // schedulers cannot tell the backends apart. generate_workload() cannot do

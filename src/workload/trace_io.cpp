@@ -371,42 +371,26 @@ std::optional<Instance> instance_from_stream(std::istream& in,
   TraceStreamReader reader(in);
   if (!reader.ok()) return fail(reader.error());
 
-  const std::size_t machines = reader.num_machines();
-  const bool sparse = reader.format() == TraceFormat::kSparse;
-  std::vector<Job> jobs;
-  std::vector<std::vector<Work>> processing(sparse ? 0 : machines);
-  std::vector<std::vector<SparseEntry>> rows;
+  // Chunks go straight into the store an Instance seals: every row is
+  // checked by the store's validator (all problems collected, as
+  // validate() reports them) and appended in trace order, which the
+  // dialect defines as release order.
+  JobStore store(reader.num_machines(), /*jobs_per_block=*/4096,
+                 reader.format() == TraceFormat::kSparse
+                     ? StorageBackend::kSparseCsr
+                     : StorageBackend::kDense);
+  std::ostringstream problems;
   std::vector<StreamJob> chunk;
   while (reader.next_chunk(4096, chunk) > 0) {
-    for (StreamJob& sj : chunk) {
-      Job job;
-      job.id = static_cast<JobId>(jobs.size());
-      job.release = sj.release;
-      job.weight = sj.weight;
-      job.deadline = sj.deadline;
-      jobs.push_back(job);
-      if (sparse) {
-        rows.push_back(std::move(sj.entries));
-      } else {
-        for (std::size_t i = 0; i < machines; ++i) {
-          processing[i].push_back(sj.processing[i]);
-        }
-      }
-    }
+    for (const StreamJob& job : chunk) store.append_reporting(job, problems);
   }
   if (!reader.ok()) return fail(reader.error());
-
-  // The reader already vetted the sparse structural demands (in-range,
-  // strictly ascending ids), so from_sparse_rows' aborts are unreachable
-  // from trace input; value problems (non-positive, non-finite, empty rows)
-  // surface through validate() exactly as for dense traces.
-  Instance instance =
-      sparse ? Instance::from_sparse_rows(std::move(jobs), machines,
-                                          std::move(rows))
-             : Instance(std::move(jobs), std::move(processing));
-  const std::string problems = instance.validate();
-  if (!problems.empty()) return fail("invalid instance: " + problems);
-  return instance;
+  // The reader already vetted the structural demands (row arity; in-range,
+  // strictly ascending sparse ids), so every row fits the store's layout.
+  if (!problems.str().empty()) {
+    return fail("invalid instance: " + problems.str());
+  }
+  return store.take_instance();
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Differential wall for the tournament-tree event queue.
 //
-// sim/event_queue.hpp aliases EventQueue to util::TournamentEventQueue and
-// keeps the previous lazy-cancel binary heap as HeapEventQueue. The
+// sim/event_queue.hpp aliases EventQueue to util::TournamentEventQueue;
+// heap_event_queue.hpp keeps the previous lazy-cancel binary heap as
+// HeapEventQueue, the reference. The
 // contract: both implementations deliver IDENTICAL event sequences — same
 // (time, seq, machine, job), same peek_time at every step — under any
 // interleaving of schedule/cancel/pop, because both order by (time,
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "fuzz_seed.hpp"
+#include "heap_event_queue.hpp"
 #include "sim/event_queue.hpp"
 #include "util/rng.hpp"
 

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/scheduler_api.hpp"
@@ -24,7 +25,7 @@
 #include "duality/flow_dual_check.hpp"
 #include "fuzz_seed.hpp"
 #include "instance/builders.hpp"
-#include "instance/processing_store.hpp"
+#include "instance/job_store.hpp"
 #include "sim/schedule_io.hpp"
 #include "workload/generated_family.hpp"
 #include "workload/generators.hpp"
@@ -153,14 +154,14 @@ TEST(StorageBackend, GeneratorMatchesMaterializedBackends) {
   }
 }
 
-TEST(StorageBackend, GeneratorViewServesRowsAndBounds) {
+TEST(StorageBackend, GeneratorReaderServesRowsAndBounds) {
   workload::ClosedFormConfig config;
   config.num_jobs = 64;
   config.num_machines = 11;
   config.seed = base_seed() + 97;
   const Instance gen =
       workload::make_closed_form_instance(config, StorageBackend::kGenerator);
-  const GeneratorStoreView view(gen);
+  const StoreReader view(gen.store());
   for (std::size_t j = 0; j < config.num_jobs; ++j) {
     const auto job = static_cast<JobId>(j);
     const Work* row = view.processing_row(job);
@@ -193,8 +194,8 @@ TEST(StorageBackend, FlowDualCheckerAgreesAcrossBackends) {
   EXPECT_EQ(a.max_violation, b.max_violation);
   EXPECT_EQ(a.constraints_checked, b.constraints_checked);
 
-  // The per-backend views satisfy the checker's Store contract directly.
-  const SparseStoreView view(sparse);
+  // A run's store reader satisfies the checker's Store contract directly.
+  const StoreReader view(sparse.store());
   const DualCheckReport c =
       check_flow_dual_feasibility(view, sparse_result, 0.25);
   EXPECT_EQ(a.max_violation, c.max_violation);
@@ -381,7 +382,8 @@ TEST(StorageBackend, DispatchIndexFlagIsFalseOnEveryBackend) {
 
 TEST(StorageBackend, DenseStoreBytesAreExactlyItsTables) {
   // Dense footprint = job records + n×m doubles + the n×m float shadow +
-  // one int32 per eligible entry + n+1 offsets, and nothing else.
+  // one int32 per eligible entry + n+1 uint32 offsets (one block), and
+  // nothing else.
   const Instance dense = make_workload(0.4, base_seed() + 71, 150, 9);
   const std::size_t n = dense.num_jobs();
   const std::size_t m = dense.num_machines();
@@ -392,7 +394,51 @@ TEST(StorageBackend, DenseStoreBytesAreExactlyItsTables) {
   ASSERT_LT(eligible, n * m);  // restricted: the adjacency is not n×m
   EXPECT_EQ(dense.store_bytes(),
             n * sizeof(Job) + n * m * sizeof(Work) + n * m * sizeof(float) +
-                eligible * sizeof(MachineId) + (n + 1) * sizeof(std::size_t));
+                eligible * sizeof(MachineId) +
+                (n + 1) * sizeof(std::uint32_t));
+}
+
+TEST(StorageBackend, SharedConstInstanceRunsIdenticallyOnFourThreads) {
+  // A const Instance is sealed: its dense shadow is filled and the compact
+  // backends' row tiles belong to each run's reader, so concurrent runs
+  // over one shared instance never write to it and each must reproduce the
+  // serial run bit for bit.
+  workload::ClosedFormConfig config;
+  config.num_jobs = 600;
+  config.num_machines = 12;
+  config.eligibility = 0.5;
+  config.seed = base_seed() + 59;
+  const Instance sparse =
+      workload::make_closed_form_instance(config, StorageBackend::kSparseCsr);
+  config.eligibility = 1.0;
+  const Instance gen =
+      workload::make_closed_form_instance(config, StorageBackend::kGenerator);
+  const Instance dense = sparse.with_backend(StorageBackend::kDense);
+  const RejectionFlowOptions options{.epsilon = 0.2};
+  for (const Instance* instance : {&dense, &sparse, &gen}) {
+    const std::string context = to_string(instance->backend());
+    const RejectionFlowResult serial = run_rejection_flow(*instance, options);
+    constexpr std::size_t kThreads = 4;
+    std::vector<RejectionFlowResult> results(kThreads);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        results[t] = run_rejection_flow(*instance, options);
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      const RejectionFlowResult& r = results[t];
+      const std::string where = context + " thread " + std::to_string(t);
+      expect_same_schedule(r.schedule, serial.schedule, where);
+      EXPECT_EQ(r.rule1_rejections, serial.rule1_rejections) << where;
+      EXPECT_EQ(r.rule2_rejections, serial.rule2_rejections) << where;
+      EXPECT_EQ(r.dual_objective, serial.dual_objective) << where;
+      EXPECT_EQ(r.opt_lower_bound, serial.opt_lower_bound) << where;
+      EXPECT_EQ(r.lambda, serial.lambda) << where;
+      EXPECT_EQ(r.definitive_finish, serial.definitive_finish) << where;
+    }
+  }
 }
 
 TEST(StorageBackend, StoreBytesCollapseForSparseFamilies) {

@@ -20,7 +20,7 @@
 
 #include "api/scheduler_api.hpp"
 #include "fuzz_seed.hpp"
-#include "service/job_store.hpp"
+#include "instance/job_store.hpp"
 #include "service/scheduler_session.hpp"
 #include "service/shard_driver.hpp"
 #include "sim/schedule_io.hpp"
@@ -158,11 +158,11 @@ TEST(StreamingSession, StoreAppendBatchMatchesPerJobAppend) {
   for (std::size_t idx = 0; idx < instance.num_jobs(); ++idx) {
     fill_stream_job(instance, static_cast<JobId>(idx), 0.0, &jobs[idx]);
   }
-  service::StreamingJobStore batched(instance.num_machines());
+  JobStore batched(instance.num_machines());
   EXPECT_EQ(batched.append_batch(std::span<const StreamJob>()), kInvalidJob);
   EXPECT_EQ(batched.append_batch(std::span<const StreamJob>(jobs)), 0);
   EXPECT_EQ(batched.num_jobs(), jobs.size());
-  service::StreamingJobStore single(instance.num_machines());
+  JobStore single(instance.num_machines());
   for (const StreamJob& job : jobs) single.append(job);
   for (std::size_t idx = 0; idx < jobs.size(); ++idx) {
     const auto j = static_cast<JobId>(idx);
@@ -578,9 +578,9 @@ TEST(StreamingSession, StoreBackendsServeIdenticalDataAndCollapseBytes) {
       workload::make_closed_form_instance(config, StorageBackend::kDense);
   const auto generator = workload::make_closed_form_generator(config);
 
-  service::StreamingJobStore dense(8, /*jobs_per_block=*/16);
-  service::StreamingJobStore sparse(8, 16, StorageBackend::kSparseCsr);
-  service::StreamingJobStore generated(8, 16, StorageBackend::kGenerator,
+  JobStore dense(8, /*jobs_per_block=*/16);
+  JobStore sparse(8, 16, StorageBackend::kSparseCsr);
+  JobStore generated(8, 16, StorageBackend::kGenerator,
                                        generator);
   StreamJob job;
   for (std::size_t idx = 0; idx < dense_instance.num_jobs(); ++idx) {
@@ -592,6 +592,11 @@ TEST(StreamingSession, StoreBackendsServeIdenticalDataAndCollapseBytes) {
     generated.append(job);
   }
 
+  // The m-wide rows of the compact backends come from a per-run reader's
+  // row tiles; dense rows straight from the store.
+  const StoreReader dense_rows(dense);
+  const StoreReader sparse_rows(sparse);
+  const StoreReader generated_rows(generated);
   for (std::size_t idx = 0; idx < dense_instance.num_jobs(); ++idx) {
     const auto j = static_cast<JobId>(idx);
     EXPECT_EQ(dense.job(j).release, sparse.job(j).release);
@@ -599,10 +604,10 @@ TEST(StreamingSession, StoreBackendsServeIdenticalDataAndCollapseBytes) {
     ASSERT_EQ(sparse.eligible_machines(j).size(), 8u);
     ASSERT_EQ(generated.eligible_machines(j).size(), 8u);
     const Work* sparse_values = sparse.csr_values(j);
-    const Work* dense_row = dense.processing_row(j);
-    const Work* sparse_row = sparse.processing_row(j);
-    const float* dense_bounds = dense.bounds_row(j);
-    const float* sparse_bounds = sparse.bounds_row(j);
+    const Work* dense_row = dense_rows.processing_row(j);
+    const Work* sparse_row = sparse_rows.processing_row(j);
+    const float* dense_bounds = dense_rows.bounds_row(j);
+    const float* sparse_bounds = sparse_rows.bounds_row(j);
     for (std::size_t i = 0; i < 8; ++i) {
       const auto machine = static_cast<MachineId>(i);
       const Work p = dense.processing_unchecked(machine, j);
@@ -612,7 +617,7 @@ TEST(StreamingSession, StoreBackendsServeIdenticalDataAndCollapseBytes) {
       EXPECT_EQ(dense_row[i], sparse_row[i]);
       EXPECT_EQ(dense_bounds[i], sparse_bounds[i]);
     }
-    const Work* generated_row = generated.processing_row(j);
+    const Work* generated_row = generated_rows.processing_row(j);
     for (std::size_t i = 0; i < 8; ++i) {
       EXPECT_EQ(dense.processing_unchecked(static_cast<MachineId>(i), j),
                 generated_row[i]);
@@ -621,8 +626,8 @@ TEST(StreamingSession, StoreBackendsServeIdenticalDataAndCollapseBytes) {
     EXPECT_EQ(dense.min_processing(j), generated.min_processing(j));
   }
 
-  // The memory story: a generator store never holds matrix bytes; the tile
-  // scratch is excluded by contract.
+  // The memory story: a generator store never holds matrix bytes (the row
+  // tiles are the readers' scratch, not the store's).
   EXPECT_EQ(generated.matrix_bytes(), 0u);
   EXPECT_EQ(generated.matrix_peak_bytes(), 0u);
   EXPECT_GT(dense.matrix_bytes(), 0u);
@@ -641,8 +646,8 @@ TEST(StreamingSession, StoreBackendsServeIdenticalDataAndCollapseBytes) {
       trio_config(base_seed() + 89, 64, 32, /*eligibility=*/0.25);
   const Instance restricted_sparse = workload::make_closed_form_instance(
       restricted, StorageBackend::kSparseCsr);
-  service::StreamingJobStore wide_dense(32);
-  service::StreamingJobStore wide_sparse(32, 4096,
+  JobStore wide_dense(32);
+  JobStore wide_sparse(32, 4096,
                                          StorageBackend::kSparseCsr);
   for (std::size_t idx = 0; idx < restricted_sparse.num_jobs(); ++idx) {
     fill_stream_job(restricted_sparse, static_cast<JobId>(idx), 0.0, &job);

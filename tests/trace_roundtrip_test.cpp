@@ -226,6 +226,12 @@ TEST(TraceRoundTrip, MalformedInputComesBackAsMessages) {
                                  &error)
                    .has_value());
   EXPECT_NE(error.find("NaN"), std::string::npos);
+  // Rows are arrivals: a trace out of release order is refused, not sorted.
+  EXPECT_FALSE(instance_from_csv(
+                   "release,weight,deadline,p_0\n2,1,inf,1\n1,1,inf,1\n",
+                   &error)
+                   .has_value());
+  EXPECT_NE(error.find("release order"), std::string::npos) << error;
 }
 
 // ------------------------------------------------------- sparse dialect
