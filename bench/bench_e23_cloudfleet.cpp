@@ -1,16 +1,15 @@
 // E23 — huge-m cloud-fleet soak (registered scenario "e23_cloudfleet").
 //
 // The perf tier behind the huge-m frontier work: machine ids far past the
-// uint16 range, the explicitly vectorized dispatch kernels
-// (util/simd_argmin.hpp), and NUMA-aware shard workers. One closed-form
-// cloud fleet is exercised three ways:
+// uint16 range, the dispatch kernels (util/simd_argmin.hpp), and sharded
+// serving. One closed-form cloud fleet is exercised three ways:
 //
 //  1. Dispatch sweep, m = 64 -> 262144 on the GENERATOR backend (no n x m
 //     matrix ever exists; the closed form synthesizes rows on demand).
 //     Synthesizing a DENSE row is itself Theta(m) per job, so the dense
 //     endpoints cannot witness sublinear selection; they instead gate
 //     "never meaningfully superlinear" (kMaxDenseExponent) — the
-//     regression tripwire for the vectorized lower-bound fill.
+//     regression tripwire for the lower-bound fill.
 //  2. A huge-m SPARSE cell at m = 262144 with ~64 eligible machines per
 //     job: the idle scan and the live-list screen run over the eligible
 //     list, so selection stays near the small-m cells'. Because this
@@ -21,17 +20,9 @@
 //     selection sweep (the pre-index shadow scan at huge m) fails this.
 //  3. Streamed fleet serving at m = 4096: one generator-backed session
 //     (metadata-only submissions) vs its batch twin — byte-identical
-//     deterministic outputs asserted — plus an S=8 ShardDriver under
-//     NumaPolicy::kInterleave (placement-only; a no-op on single-node
-//     hosts). scripts/compare_bench.py prints shard-scaling efficiency
-//     from the "sharded" / "stream t1" label pair.
-//
-// Every case reports its dispatch tier (tier_simd: 0 scalar / 1 avx2 /
-// 2 avx512) so a perf number is always attributable to the code path that
-// produced it. Tier metrics are
-// hardware-shaped, NOT determinism inputs: compare_bench.py reports tier
-// changes informationally instead of failing the diff (all tiers are
-// bit-identical by the simd_argmin contract; tests/simd_argmin_test.cpp).
+//     deterministic outputs asserted — plus an S=8 ShardDriver.
+//     scripts/compare_bench.py prints shard-scaling efficiency from the
+//     "sharded" / "stream t1" label pair.
 //
 // Tags: "perf" + "slow" like e16-e22; CI's e23 smoke gate runs it at
 // --scale 0.02 with --require-passed, so the sublinearity and
@@ -48,7 +39,6 @@
 #include "service/scheduler_session.hpp"
 #include "service/shard_driver.hpp"
 #include "util/rng.hpp"
-#include "util/simd_argmin.hpp"
 #include "util/timer.hpp"
 #include "workload/generated_family.hpp"
 
@@ -80,7 +70,7 @@ constexpr double kMaxDenseExponent = 1.05;
 
 enum class Mode {
   kStream = 0,  ///< one generator-backed session, metadata-only feed
-  kSharded,     ///< ShardDriver: 8 generator tenants, NUMA interleave
+  kSharded,     ///< ShardDriver: 8 generator tenants
   kBatch,       ///< api::run on the same generator instance (stream twin)
   kDispatch,    ///< batch dispatch sweep cell (generator backend)
   kDispatchSparse,  ///< huge-m sparse cell: ~64 eligible machines per job
@@ -94,12 +84,6 @@ workload::ClosedFormConfig fleet_config(std::uint64_t seed, std::size_t n,
   config.seed = seed;
   config.load = 1.1;
   return config;
-}
-
-/// The tier attribution every case carries (the SIMD tier is
-/// process-wide).
-void set_tier_metrics(MetricRow& row, const api::RunSummary& summary) {
-  row.set("tier_simd", static_cast<double>(summary.dispatch_simd_tier));
 }
 
 void set_deterministic_metrics(MetricRow& row, std::size_t rejected,
@@ -142,7 +126,6 @@ MetricRow run_stream_case(const UnitContext& ctx, std::size_t n) {
   row.set("jobs_per_sec",
           seconds > 0.0 ? static_cast<double>(n) / seconds : 0.0);
   row.set("peak_rss_mib", peak_rss_mib());
-  set_tier_metrics(row, summary);
   set_deterministic_metrics(row, summary.report.num_rejected,
                             summary.report.num_completed,
                             summary.report.total_flow);
@@ -163,10 +146,6 @@ MetricRow run_sharded_case(const UnitContext& ctx, std::size_t n) {
       workload::make_closed_form_instance(config, StorageBackend::kGenerator);
   service::ShardDriverOptions options;
   options.session = fleet_session_options(config);
-  // The PR's placement knob, on: pins workers round-robin across NUMA
-  // nodes where the host has them, a byte-identical no-op where it does
-  // not (tests/numa_test.cpp holds the invariance either way).
-  options.numa_policy = service::NumaPolicy::kInterleave;
   service::ShardDriver driver(api::Algorithm::kTheorem1, kShards,
                               kFleetMachines, options);
   util::Timer timer;
@@ -203,9 +182,7 @@ MetricRow run_sharded_case(const UnitContext& ctx, std::size_t n) {
   row.set("per_worker_jobs_per_sec",
           seconds > 0.0 ? total_jobs / seconds / workers : 0.0);
   row.set("workers", workers);
-  row.set("pinned_workers", static_cast<double>(driver.pinned_workers()));
   row.set("peak_rss_mib", peak_rss_mib());
-  set_tier_metrics(row, summaries.front());
   set_deterministic_metrics(row, rejected, completed, total_flow);
   return row;
 }
@@ -230,7 +207,6 @@ MetricRow run_batch_case(const UnitContext& ctx, std::size_t n) {
   row.set("jobs_per_sec",
           seconds > 0.0 ? static_cast<double>(n) / seconds : 0.0);
   row.set("peak_rss_mib", peak_rss_mib());
-  set_tier_metrics(row, summary);
   set_deterministic_metrics(row, summary.report.num_rejected,
                             summary.report.num_completed,
                             summary.report.total_flow);
@@ -262,7 +238,6 @@ MetricRow run_dispatch_case(const UnitContext& ctx, std::size_t n,
   row.set("jobs_per_sec",
           seconds > 0.0 ? static_cast<double>(n) / seconds : 0.0);
   row.set("peak_rss_mib", peak_rss_mib());
-  set_tier_metrics(row, summary);
   set_deterministic_metrics(row, summary.report.num_rejected,
                             summary.report.num_completed,
                             summary.report.total_flow);
@@ -293,7 +268,7 @@ Scenario make_e23() {
   scenario.description =
       "huge-m cloud fleet: generator dispatch sweep m=64..262144 with "
       "sublinear-in-m verdict, huge-m sparse cell, streamed vs batch twin, "
-      "NUMA-interleaved shard fleet";
+      "8-shard fleet";
   scenario.tags = {"perf", "streaming", "storage", "slow"};
   scenario.repetitions = 1;
   const struct {
@@ -304,8 +279,7 @@ Scenario make_e23() {
   } cells[] = {
       // Streamed cases first (peak RSS is a process high-water mark).
       {"stream t1 fleet m=4096 n=200000", Mode::kStream, 200000, 4096},
-      {"stream sharded S=8 numa m=4096 n=200000", Mode::kSharded, 200000,
-       4096},
+      {"stream sharded S=8 m=4096 n=200000", Mode::kSharded, 200000, 4096},
       {"batch t1 fleet m=4096 n=200000", Mode::kBatch, 200000, 4096},
       // The generator dispatch sweep: 4096x in m, 64 -> 262144.
       {"dispatch gen m=64 n=20000", Mode::kDispatch, 20000, 64},

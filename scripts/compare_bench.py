@@ -8,11 +8,9 @@ Compares a baseline report against a current one, metric by metric:
   drop by up to that fraction, seconds/RSS may grow by up to that fraction,
   before the diff counts as a perf regression. Direction matters — getting
   faster or smaller is never a regression.
-* Metrics prefixed "tier_" describe WHICH code path produced the numbers
-  (e23's dispatch tier: tier_simd 0/1/2 = scalar/avx2/avx512) — hardware-
-  and env-shaped (cpuid, OSCHED_SIMD), not scheduling outputs, and
-  bit-identical across tiers by the simd_argmin contract. Differences are
-  reported as informational notes, never as regressions or mismatches.
+* "workers" (the sharded cases' resolved worker count) describes the host
+  the numbers came from, not a scheduling output: differences are reported
+  as informational notes, never as regressions or mismatches.
 * Metrics prefixed "seeded_" are deterministic ONLY per seed (e20's chaos
   schedule and e22's burst-warped workload move with --seed, and e22's
   per-shard overload counters — seeded_hot_deferred, seeded_total_sheds,
@@ -53,12 +51,7 @@ import sys
 
 EXPECTED_SCHEMA = "osched.bench.report"
 
-# "workers" is the shard driver's resolved worker count and
-# "pinned_workers" how many of them landed on their NUMA node — both shaped
-# by the host's core count/topology, not by scheduling decisions, so they
-# belong to the wall-clock class (band-compared), not the deterministic one.
-PERF_EXACT = {"seconds", "compute_seconds", "wall_seconds", "workers",
-              "pinned_workers"}
+PERF_EXACT = {"seconds", "compute_seconds", "wall_seconds"}
 # Memory metrics are wall-clock-class (banded, never exact-matched) AND get
 # their own band (--rss-tolerance): RSS is an OS-level reading (allocator
 # retention, page granularity) whose noise profile is unrelated to
@@ -86,19 +79,14 @@ CORE_DETERMINISTIC = ("rejected", "completed", "total_flow")
 # reports. Everywhere else these are skipped, not warned about.
 SEEDED_PREFIX = "seeded_"
 
-# Code-path attribution, not output: which SIMD tier served the case
-# (cpuid- and OSCHED_SIMD-shaped). All tiers are bit-identical by contract,
-# so a tier change can explain a perf delta but can never itself be a
-# regression or a determinism error.
-TIER_PREFIX = "tier_"
+# Host attribution, not output: the shard driver resolves its worker count
+# from the host's core count, so a different count can explain a perf delta
+# but can never itself be a regression or a determinism error.
+ATTRIBUTION = {"workers"}
 
 
 def is_seeded_metric(name: str) -> bool:
     return name.startswith(SEEDED_PREFIX)
-
-
-def is_tier_metric(name: str) -> bool:
-    return name.startswith(TIER_PREFIX)
 
 
 def is_perf_metric(name: str) -> bool:
@@ -222,7 +210,7 @@ def main() -> None:
     perf_regressions = []
     determinism_errors = []
     warnings = []
-    tier_notes = []
+    attribution_notes = []
     compared = 0
     seeded_skipped = 0
 
@@ -252,12 +240,10 @@ def main() -> None:
                 continue
             b, c = base[key][name], cur[key][name]
             where = f"{scenario}/{label}/{name}"
-            if is_tier_metric(name):
+            if name in ATTRIBUTION:
                 if b.get("mean") != c.get("mean"):
-                    tier_notes.append(
-                        f"{where}: {b.get('mean')!r} -> {c.get('mean')!r} "
-                        f"(code-path attribution only; outputs are "
-                        f"bit-identical across tiers)")
+                    attribution_notes.append(
+                        f"{where}: {b.get('mean')!r} -> {c.get('mean')!r}")
                 continue
             if is_seeded_metric(name):
                 if not seeds_comparable:
@@ -306,8 +292,8 @@ def main() -> None:
     report_fairness_spread("baseline", base)
     report_fairness_spread("current", cur)
 
-    for message in tier_notes:
-        print(f"compare_bench: note: dispatch tier changed: {message}")
+    for message in attribution_notes:
+        print(f"compare_bench: note: host attribution changed: {message}")
     for message in warnings:
         print(f"compare_bench: WARN: {message}", file=sys.stderr)
     for message in perf_regressions:

@@ -71,7 +71,6 @@ RunSummary run(Algorithm algorithm, const Instance& instance,
   RunSummary summary;
   summary.algorithm = algorithm;
   summary.dispatch_index_active = instance.dispatch_index_active();
-  summary.dispatch_simd_tier = util::active_simd_tier();
 
   // Per-algorithm validation/report knobs.
   bool parallel_execution = false;

@@ -28,7 +28,6 @@
 #include "metrics/metrics.hpp"
 #include "sim/fleet.hpp"
 #include "sim/schedule.hpp"
-#include "util/simd_argmin.hpp"
 
 namespace osched::api {
 
@@ -93,11 +92,6 @@ struct RunSummary {
   /// is always false; the field stays because result files and the
   /// end-to-end benchmark report it.
   bool dispatch_index_active = false;
-  /// SIMD tier the dispatch kernels ran at (util::active_simd_tier():
-  /// scalar / avx2 / avx512 — cpuid-dispatched, cappable via OSCHED_SIMD).
-  /// All tiers are bit-identical by contract; the field is informational
-  /// attribution, not a determinism input.
-  util::SimdTier dispatch_simd_tier = util::SimdTier::kScalar;
 };
 
 /// Runs `algorithm` on `instance`. Aborts (OSCHED_CHECK) on structurally

@@ -430,10 +430,9 @@ class RejectionFlowPolicy final : public SimulationHooks {
     if (dense && speed_is_one_ && !fleet_speed_ && !fleet_.enabled()) {
       // No fleet mask and no speed scaling (the steady state): the
       // effective p IS the double row entry and every machine is a
-      // candidate when idle, so the exact idle argmin vectorizes — per
-      // lane the scalar division-then-add, min-reduce plus first-index
-      // semantics, bit-identical to the scalar loop below (which stays the
-      // reference for the masked/scaled cases).
+      // candidate when idle, so the idle argmin is one flat kernel over
+      // the row — the same division-then-add and first-index rule as the
+      // loop below, which handles the masked/scaled cases.
       const util::simd::IdleArgmin idle = util::simd::idle_lambda_argmin(
           rowd, pend_n_.data(), count, options_.epsilon);
       if (idle.index < count) {
@@ -562,9 +561,7 @@ class RejectionFlowPolicy final : public SimulationHooks {
       const float* __restrict pcm = pend_cnt_margin_.data();
       const float* __restrict pmp = pend_min_p_.data();
       float* __restrict lb = lb_.data();
-      // Explicit SIMD fill (AVX2/AVX-512 behind runtime dispatch, scalar
-      // reference as fallback) — per-lane identical to the former inline
-      // loop; see util/simd_argmin.hpp for the bit-identity contract.
+      // See util/simd_argmin.hpp for the kernels' contracts.
       util::simd::lb_fill(row, pcm, pmp, empty_coeff_margin_, lb, m);
       // Speed mask: the bulk fill used the RAW shadow row, which is not a
       // lower bound on a sped-UP machine's effective lambda. O(#scaled)
@@ -586,8 +583,7 @@ class RejectionFlowPolicy final : public SimulationHooks {
       // Two-level argmin: per-block minima first (min is exactly
       // associative/commutative over the NaN-free, -0.0-free lb values, so
       // any lane split gives the same value), then the first block and
-      // first lane attaining the minimum — the explicit SIMD kernel keeps
-      // those exact semantics across tiers, and also returns the block
+      // first lane attaining the minimum. The kernel also returns the block
       // minima the rival screen reads below.
       const util::simd::ArgminResult seed =
           util::simd::block_minima_argmin(lb, m, block_min_.data());

@@ -289,9 +289,7 @@ class SchedulerSession::Impl {
 
     api::RunSummary summary;
     summary.algorithm = algorithm_;
-    // dispatch_index_active stays false, as for every batch instance; the
-    // SIMD tier applies to the streamed dispatch kernels all the same.
-    summary.dispatch_simd_tier = util::active_simd_tier();
+    // dispatch_index_active stays false, as for every batch instance.
     host_->finalize(summary);
 
     if (options_.retain_records) {
@@ -342,7 +340,7 @@ class SchedulerSession::Impl {
       w.f64(event.time);
       w.u32(static_cast<std::uint32_t>(event.machine));
       w.u8(static_cast<std::uint8_t>(event.kind));
-      w.f64(event.speed);  // v2: multiplier (1.0 for membership kinds)
+      w.f64(event.speed);  // multiplier (1.0 for membership kinds)
     }
     w.u64(plan.initially_down.size());
     for (const MachineId machine : plan.initially_down) {
@@ -351,11 +349,11 @@ class SchedulerSession::Impl {
     w.u64(plan.rejection_budget);
     w.u8(plan.shed_killed_running ? 1 : 0);
     w.u64(options_.retire_batch);
-    w.u64(options_.live_window_cap);  // v2: overload control
-    w.u64(options_.shed_budget);      // v2
+    w.u64(options_.live_window_cap);
+    w.u64(options_.shed_budget);
     const StorageBackend backend = store_.backend();
-    w.u8(static_cast<std::uint8_t>(backend));  // v3: storage backend
-    // v4: adaptive overload policy. Configuration only — the estimator
+    w.u8(static_cast<std::uint8_t>(backend));
+    // Adaptive overload policy. Configuration only — the estimator
     // contents and the effective cap are pure functions of the accepted
     // journal below, so replay re-derives them (the same reason no shed or
     // rule state is serialized).
@@ -370,10 +368,10 @@ class SchedulerSession::Impl {
     w.f64(now_);
     // The journal proper: every submitted job, in id order. Restore replays
     // these through submit() — policy state is never serialized. The payload
-    // form per job follows the backend (v3): dense writes the m-wide row
-    // exactly as v2 did; sparse writes an entry count plus the eligible
-    // (machine, p) pairs; generator writes the job fields only, since the
-    // closed form is code the restoring caller must supply.
+    // form per job follows the backend: dense writes the m-wide row; sparse
+    // writes an entry count plus the eligible (machine, p) pairs; generator
+    // writes the job fields only, since the closed form is code the
+    // restoring caller must supply.
     w.u64(store_.num_jobs());
     const std::size_t m = store_.num_machines();
     for (std::size_t idx = 0; idx < store_.num_jobs(); ++idx) {
@@ -697,28 +695,23 @@ std::unique_ptr<SchedulerSession> SchedulerSession::restore(
   FleetPlan& plan = options.run.fleet;
   const std::uint64_t num_fleet_events = r.u64();
   // Size sanity before any allocation: the count must fit in the bytes that
-  // are actually present (13 bytes per event in v1; v2 appends the f64
-  // speed multiplier for 21).
-  const std::size_t event_bytes = version >= 2 ? 21 : 13;
-  if (r.ok() && num_fleet_events > r.remaining() / event_bytes) {
+  // are actually present (21 bytes per event: f64 time, u32 machine, u8
+  // kind, f64 speed).
+  if (r.ok() && num_fleet_events > r.remaining() / 21) {
     return fail("checkpoint corrupted: fleet event count exceeds blob size");
   }
-  // kSpeedChange entered the format in v2; a v1 blob carrying kind 3 is
-  // damage, not history.
-  const auto max_kind = static_cast<std::uint8_t>(
-      version >= 2 ? FleetEventKind::kSpeedChange : FleetEventKind::kFail);
   plan.events.reserve(static_cast<std::size_t>(num_fleet_events));
   for (std::uint64_t e = 0; r.ok() && e < num_fleet_events; ++e) {
     FleetEvent event;
     event.time = r.f64();
     event.machine = static_cast<MachineId>(r.u32());
     const std::uint8_t kind = r.u8();
-    if (kind > max_kind) {
+    if (kind > static_cast<std::uint8_t>(FleetEventKind::kSpeedChange)) {
       return fail("checkpoint corrupted: unknown fleet event kind " +
                   std::to_string(kind));
     }
     event.kind = static_cast<FleetEventKind>(kind);
-    if (version >= 2) event.speed = r.f64();
+    event.speed = r.f64();
     plan.events.push_back(event);
   }
   const std::uint64_t num_down = r.u64();
@@ -732,28 +725,17 @@ std::unique_ptr<SchedulerSession> SchedulerSession::restore(
   plan.rejection_budget = static_cast<std::size_t>(r.u64());
   plan.shed_killed_running = r.u8() != 0;
   options.retire_batch = static_cast<std::size_t>(r.u64());
-  if (version >= 2) {
-    options.live_window_cap = static_cast<std::size_t>(r.u64());
-    options.shed_budget = static_cast<std::size_t>(r.u64());
-  }
-  // Storage backend entered the format in v3; older blobs are dense by
-  // construction (their journal rows ARE the dense matrix).
-  std::uint8_t backend_raw = static_cast<std::uint8_t>(StorageBackend::kDense);
-  if (version >= 3) backend_raw = r.u8();
-  // Adaptive overload policy entered the format in v4; older blobs restore
-  // under the neutral defaults (fixed shed rule, cap tuning disabled).
-  std::uint8_t shed_policy_raw =
-      static_cast<std::uint8_t>(ShedPolicy::kFixedBudget);
-  if (version >= 4) {
-    shed_policy_raw = r.u8();
-    AdaptiveCapOptions& tune = options.adaptive_cap;
-    tune.enabled = r.u8() != 0;
-    tune.min_cap = static_cast<std::size_t>(r.u64());
-    tune.max_cap = static_cast<std::size_t>(r.u64());
-    tune.window = r.f64();
-    tune.target_delay = r.f64();
-    tune.hysteresis = static_cast<std::size_t>(r.u64());
-  }
+  options.live_window_cap = static_cast<std::size_t>(r.u64());
+  options.shed_budget = static_cast<std::size_t>(r.u64());
+  const std::uint8_t backend_raw = r.u8();
+  const std::uint8_t shed_policy_raw = r.u8();
+  AdaptiveCapOptions& tune = options.adaptive_cap;
+  tune.enabled = r.u8() != 0;
+  tune.min_cap = static_cast<std::size_t>(r.u64());
+  tune.max_cap = static_cast<std::size_t>(r.u64());
+  tune.window = r.f64();
+  tune.target_delay = r.f64();
+  tune.hysteresis = static_cast<std::size_t>(r.u64());
   const Time clock = r.f64();
   const std::uint64_t num_jobs = r.u64();
   if (!r.ok()) return fail(r.error());
@@ -789,9 +771,8 @@ std::unique_ptr<SchedulerSession> SchedulerSession::restore(
   }
   options.shed_policy = static_cast<ShedPolicy>(shed_policy_raw);
   // Recoverable twins of the constructor's adaptive-cap CHECKs: a forged
-  // or damaged v4 blob must come back as a diagnostic, not an abort.
-  if (options.adaptive_cap.enabled) {
-    const AdaptiveCapOptions& tune = options.adaptive_cap;
+  // or damaged blob must come back as a diagnostic, not an abort.
+  if (tune.enabled) {
     if (tune.min_cap == 0 || tune.max_cap < tune.min_cap ||
         !(tune.window > 0.0) || !(tune.target_delay > 0.0)) {
       return fail("checkpoint corrupted: invalid adaptive-cap fields "

@@ -131,8 +131,7 @@ struct SessionOptions {
   /// Live-window-cap auto-tuning (see AdaptiveCapOptions). When enabled,
   /// live_window_cap seeds the initial cap (clamped into
   /// [min_cap, max_cap]; 0 seeds at min_cap) and the effective cap then
-  /// tracks the observed arrival rate between the bounds. Checkpointed as
-  /// wire v4; v1–v3 blobs restore with tuning disabled.
+  /// tracks the observed arrival rate between the bounds. Checkpointed.
   AdaptiveCapOptions adaptive_cap;
   /// Processing-time storage for the session's job store (the same
   /// JobStore backends an Instance uses). kDense keeps the m-wide row
@@ -255,7 +254,7 @@ class SchedulerSession {
   /// (same records, same queues, same future decisions). Damaged input
   /// (truncated, corrupted, wrong version/magic) returns nullptr with a
   /// diagnostic in *error; it never aborts and never reads out of bounds.
-  /// A generator-backed blob (wire v3) journals job metadata only — the
+  /// A generator-backed blob journals job metadata only — the
   /// closed form itself is code, not data — so the caller must supply the
   /// same `generator` the original session ran with; omitting it is a
   /// diagnosed failure, and supplying a DIFFERENT closed form silently

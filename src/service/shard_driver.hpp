@@ -46,28 +46,10 @@
 
 namespace osched::service {
 
-/// Worker placement across NUMA nodes. PLACEMENT ONLY: every policy yields
-/// bit-identical session outcomes (the worker-count invariance contract);
-/// what changes is which node's memory a shard's lazily grown state lands
-/// on, via pinned first-touch.
-enum class NumaPolicy : std::uint8_t {
-  /// No pinning — the OS scheduler places workers (PR 11 and earlier
-  /// behavior; byte-identical setup on single-node hosts either way).
-  kNone,
-  /// Pin worker w to NUMA node (w mod nodes), so the shards a worker owns
-  /// are first-touched — and stay — on that worker's node. A no-op in
-  /// inline mode and on single-node hosts (including masked-sysfs
-  /// containers, where topology degrades to one node).
-  kInterleave,
-};
-
 struct ShardDriverOptions {
   /// Persistent workers; 0 = hardware concurrency. Capped at the shard
   /// count; a resolved count of <= 1 selects the inline (worker-less) mode.
   std::size_t threads = 0;
-  /// NUMA worker placement (see NumaPolicy). A runtime concern like
-  /// `threads`: not checkpointed; restore() chooses it fresh.
-  NumaPolicy numa_policy = NumaPolicy::kNone;
   /// Applied to every shard's session.
   SessionOptions session;
   /// Bound on a shard's handed-off-but-unapplied batches (flush() units) —
@@ -214,22 +196,13 @@ class ShardDriver {
   /// SchedulerSession::restore) from a checkpoint() blob. `threads` is a
   /// runtime concern, not session state, so it is chosen fresh (same
   /// meaning as ShardDriverOptions::threads). When any shard is
-  /// generator-backed (wire v3), `generator` supplies the shared closed
+  /// generator-backed, `generator` supplies the shared closed
   /// form, exactly as for SchedulerSession::restore — one form for the
   /// whole fleet, matching how SessionOptions applies to every shard.
   /// Damaged input returns nullptr with a diagnostic in *error.
   static std::unique_ptr<ShardDriver> restore(
       std::string_view blob, std::size_t threads, std::string* error,
-      std::shared_ptr<const RowGenerator> generator = nullptr,
-      NumaPolicy numa_policy = NumaPolicy::kNone);
-
-  /// Workers actually pinned to a NUMA node (0 under NumaPolicy::kNone, in
-  /// inline mode, on single-node hosts, and for workers whose pin attempt
-  /// failed — pinning is best-effort, never a correctness requirement).
-  /// Readable after construction; stable for the driver's lifetime.
-  std::size_t pinned_workers() const {
-    return pinned_workers_.load(std::memory_order_acquire);
-  }
+      std::shared_ptr<const RowGenerator> generator = nullptr);
 
  private:
   struct Op {
@@ -265,7 +238,6 @@ class ShardDriver {
     bool signal = false;
     bool stop = false;
     std::vector<std::size_t> shards;  ///< owned shard indices
-    int numa_node = -1;  ///< target node under kInterleave; -1 = unpinned
   };
 
   /// Restore path: shards_ is filled from the checkpoint before
@@ -273,7 +245,7 @@ class ShardDriver {
   ShardDriver() = default;
   /// Spins up the worker pool (or selects inline mode) over the already
   /// populated shards_ — the shared tail of both construction paths.
-  void start_workers(std::size_t threads, NumaPolicy numa_policy);
+  void start_workers(std::size_t threads);
 
   bool inline_mode() const { return workers_.empty(); }
   bool at_inflight_cap(const Shard& s) const;
@@ -289,9 +261,6 @@ class ShardDriver {
   std::vector<std::unique_ptr<Worker>> workers_;
   std::size_t max_inflight_ = 0;  ///< ShardDriverOptions::max_inflight_batches
   std::size_t fair_quantum_ = 0;  ///< ShardDriverOptions::fair_quantum
-  /// Written by each worker once at startup (success of its own pin call);
-  /// monotonic, so a relaxed-ish acquire read after construction is stable.
-  std::atomic<std::size_t> pinned_workers_{0};
   std::mutex sync_mutex_;
   std::condition_variable sync_cv_;
 };

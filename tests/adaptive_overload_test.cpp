@@ -15,8 +15,7 @@
 //  * determinism — adaptive cap moves and ε-charged sheds are pure
 //    functions of the accepted arrivals: per-job and chunked feeds agree,
 //    checkpoint cuts restore to the uninterrupted run, wire v4 round-trips
-//    the new configuration while v3 blobs restore under neutral defaults
-//    and forged v4 fields come back as diagnostics;
+//    the new configuration and forged v4 fields come back as diagnostics;
 //  * fairness — the shard driver's deficit-round-robin admission bounds a
 //    hot tenant to 2×quantum staged ops per flush round, never starves a
 //    cold sibling, and the whole try_* surface (StageOutcome) stays
@@ -389,40 +388,7 @@ TEST(AdaptiveOverload, CheckpointCutReproducesEveryCapAndShedDecision) {
 }
 
 // ---------------------------------------------------------------------------
-// Wire v4 compatibility.
-
-TEST(AdaptiveOverload, Version3BlobsRestoreWithNeutralDefaults) {
-  // A pre-PR-9 blob — hand-written exactly as the v3 writer emitted it —
-  // must restore under the fixed shed rule with tuning disabled: the
-  // allowance is the journalled shed_budget and the cap stays pinned.
-  service::CheckpointWriter w;
-  w.bytes(service::kSessionCheckpointMagic, 8);
-  w.u32(3);
-  w.u32(static_cast<std::uint32_t>(api::Algorithm::kGreedySpt));
-  w.u64(1);     // machines
-  w.f64(0.2);   // epsilon
-  w.f64(2.0);   // alpha
-  w.u64(8);     // speed_levels
-  w.f64(0.5);   // start_grid
-  w.u8(1);      // validate
-  w.u64(0);     // no fleet events
-  w.u64(0);     // initially_down
-  w.u64(0);     // rejection_budget
-  w.u8(1);      // shed_killed_running
-  w.u64(8192);  // retire_batch
-  w.u64(5);     // live_window_cap
-  w.u64(3);     // shed_budget
-  w.u8(static_cast<std::uint8_t>(StorageBackend::kDense));
-  // No shed policy / adaptive fields in v3.
-  w.f64(0.0);  // clock
-  w.u64(0);    // empty job journal
-
-  std::string error;
-  auto restored = service::SchedulerSession::restore(w.finish(), &error);
-  ASSERT_NE(restored, nullptr) << error;
-  EXPECT_EQ(restored->current_window_cap(), 5u);
-  EXPECT_EQ(restored->shed_allowance(), 3u);  // fixed budget, nothing spent
-}
+// Wire v4 adaptive fields.
 
 TEST(AdaptiveOverload, ForgedV4FieldsAreDiagnosed) {
   using service::CheckpointWriter;

@@ -146,7 +146,7 @@ TEST(Checkpoint, CarriesTheFleetPlanAndItsCursor) {
   // Checkpoint in the middle of a fleet plan — after a fail and a throttle
   // already fired, before a join and a recovery — and restore: the remaining
   // fleet events must fire in the restored session exactly as in the
-  // uninterrupted run, and the v2 speed multipliers must round-trip.
+  // uninterrupted run, and the speed multipliers must round-trip.
   const Instance instance = make_workload(base_seed() + 2, 200, 5);
   api::RunOptions run;
   const Time t25 = instance.job(static_cast<JobId>(49)).release;
@@ -187,91 +187,66 @@ TEST(Checkpoint, CarriesTheFleetPlanAndItsCursor) {
             reference.fleet.min_speed_multiplier);
 }
 
-TEST(Checkpoint, RestoresVersion1BlobsWithNeutralDefaults) {
-  // PR 7 bumped the wire version to 2 (per-event speed multipliers plus the
-  // overload fields). A version-1 blob — hand-written here exactly as the
-  // PR-6 writer emitted it — must still restore: membership events parse at
-  // their 13-byte v1 size, every multiplier defaults to 1.0, and the live
-  // window stays uncapped.
-  const Instance instance = make_workload(base_seed() + 5, 40, 3);
-  api::RunOptions run;
-  const Time t25 = instance.job(static_cast<JobId>(9)).release;
-  const Time t50 = instance.job(static_cast<JobId>(19)).release;
-  run.fleet.events = {{t25, 0, FleetEventKind::kFail},
-                      {t50, 0, FleetEventKind::kJoin}};
-  run.fleet.rejection_budget = 1;
-  service::SessionOptions options;
-  options.run = run;
+TEST(Checkpoint, PreVersion4BlobsAreRefusedWithADiagnostic) {
+  // Only wire v4 is read. A v1, v2 or v3 header — hand-written with the
+  // first body fields each version's writer emitted — comes back as a
+  // diagnostic naming the version and the readable range, for a session
+  // and for a shard-driver container alike.
+  const std::string expected_range = "(this build reads versions 4 through 4)";
+  for (const std::uint32_t version : {1u, 2u, 3u}) {
+    service::CheckpointWriter w;
+    w.bytes(service::kSessionCheckpointMagic, 8);
+    w.u32(version);
+    w.u32(static_cast<std::uint32_t>(api::Algorithm::kGreedySpt));
+    w.u64(2);    // machines
+    w.f64(0.2);  // epsilon
+    w.f64(2.0);  // alpha
+    std::string error;
+    EXPECT_EQ(service::SchedulerSession::restore(w.finish(), &error), nullptr);
+    EXPECT_EQ(error, "unsupported checkpoint version " +
+                         std::to_string(version) + " " + expected_range);
 
-  const std::size_t cut = 20;
-  service::CheckpointWriter w;
-  w.bytes(service::kSessionCheckpointMagic, 8);
-  w.u32(1);  // version 1
-  w.u32(static_cast<std::uint32_t>(api::Algorithm::kGreedySpt));
-  w.u64(instance.num_machines());
-  w.f64(run.epsilon);
-  w.f64(run.alpha);
-  w.u64(run.speed_levels);
-  w.f64(run.start_grid);
-  w.u8(run.validate ? 1 : 0);
-  w.u64(run.fleet.events.size());
-  for (const FleetEvent& event : run.fleet.events) {
-    w.f64(event.time);
-    w.u32(static_cast<std::uint32_t>(event.machine));
-    w.u8(static_cast<std::uint8_t>(event.kind));  // no speed field in v1
+    service::CheckpointWriter d;
+    d.bytes(service::kDriverCheckpointMagic, 8);
+    d.u32(version);
+    d.u64(1);  // shards
+    EXPECT_EQ(service::ShardDriver::restore(d.finish(), 1, &error), nullptr);
+    EXPECT_EQ(error, "unsupported checkpoint version " +
+                         std::to_string(version) + " " + expected_range);
   }
-  w.u64(0);  // initially_down
-  w.u64(run.fleet.rejection_budget);
-  w.u8(1);  // shed_killed_running
-  w.u64(service::SessionOptions{}.retire_batch);
-  // No live_window_cap / shed_budget in v1.
-  w.f64(instance.job(static_cast<JobId>(cut - 1)).release);  // clock
-  w.u64(cut);
-  StreamJob job;
-  for (std::size_t idx = 0; idx < cut; ++idx) {
-    fill_stream_job(instance, static_cast<JobId>(idx), 0.0, &job);
-    w.f64(job.release);
-    w.f64(job.weight);
-    w.f64(job.deadline);
-    for (const Work p : job.processing) w.f64(p);
-  }
-
-  std::string error;
-  auto restored = service::SchedulerSession::restore(w.finish(), &error);
-  ASSERT_NE(restored, nullptr) << error;
-  EXPECT_EQ(restored->num_submitted(), cut);
-  feed(*restored, instance, cut, instance.num_jobs());
-
-  service::SchedulerSession uninterrupted(api::Algorithm::kGreedySpt,
-                                          instance.num_machines(), options);
-  feed(uninterrupted, instance, 0, instance.num_jobs());
-  expect_identical(uninterrupted.drain(), restored->drain(), "v1 blob");
 }
 
 TEST(Checkpoint, ForgedSpeedAndVersionSkewAreDiagnosed) {
   using service::CheckpointWriter;
   // Shared tail after the fleet events: down-list, budget, shed flag,
-  // retire batch, (v2: overload fields,) clock, empty job journal.
-  const auto finish_body = [](CheckpointWriter& w, bool v2) {
+  // retire batch, overload fields, backend, shed policy and adaptive cap
+  // (tuning off), clock, empty job journal.
+  const auto finish_body = [](CheckpointWriter& w) {
     w.u64(0);     // initially_down
     w.u64(0);     // rejection_budget
     w.u8(1);      // shed_killed_running
     w.u64(8192);  // retire_batch
-    if (v2) {
-      w.u64(0);  // live_window_cap
-      w.u64(0);  // shed_budget
-    }
+    w.u64(0);     // live_window_cap
+    w.u64(0);     // shed_budget
+    w.u8(static_cast<std::uint8_t>(StorageBackend::kDense));
+    w.u8(0);      // shed policy: fixed budget
+    w.u8(0);      // adaptive cap disabled
+    w.u64(0);
+    w.u64(0);
+    w.f64(0.0);
+    w.f64(0.0);
+    w.u64(0);
     w.f64(0.0);  // clock
     w.u64(0);    // no jobs
   };
 
   std::string error;
   {
-    // A v2 blob whose speed multiplier is invalid: recoverable, and the
+    // A blob whose speed multiplier is invalid: recoverable, and the
     // diagnostic comes from the fleet-plan validator.
     CheckpointWriter w;
     w.bytes(service::kSessionCheckpointMagic, 8);
-    w.u32(2);
+    w.u32(service::kCheckpointVersion);
     w.u32(static_cast<std::uint32_t>(api::Algorithm::kGreedySpt));
     w.u64(2);    // machines
     w.f64(0.2);  // epsilon
@@ -284,30 +259,9 @@ TEST(Checkpoint, ForgedSpeedAndVersionSkewAreDiagnosed) {
     w.u32(0);    // machine
     w.u8(3);     // kSpeedChange
     w.f64(-1.0);  // forged multiplier
-    finish_body(w, /*v2=*/true);
+    finish_body(w);
     EXPECT_EQ(service::SchedulerSession::restore(w.finish(), &error), nullptr);
     EXPECT_NE(error.find("invalid fleet plan"), std::string::npos) << error;
-  }
-  {
-    // kSpeedChange entered the format in v2 — kind 3 inside a version-1
-    // blob is damage, not history.
-    CheckpointWriter w;
-    w.bytes(service::kSessionCheckpointMagic, 8);
-    w.u32(1);
-    w.u32(static_cast<std::uint32_t>(api::Algorithm::kGreedySpt));
-    w.u64(2);
-    w.f64(0.2);
-    w.f64(2.0);
-    w.u64(8);
-    w.f64(0.5);
-    w.u8(0);
-    w.u64(1);
-    w.f64(1.0);
-    w.u32(0);
-    w.u8(3);  // v1 events have no speed byte tail — and no kind 3
-    finish_body(w, /*v2=*/false);
-    EXPECT_EQ(service::SchedulerSession::restore(w.finish(), &error), nullptr);
-    EXPECT_NE(error.find("fleet event kind 3"), std::string::npos) << error;
   }
   {
     // Overload fields inconsistent with the journal: cap 1 with no shed
@@ -315,7 +269,7 @@ TEST(Checkpoint, ForgedSpeedAndVersionSkewAreDiagnosed) {
     // backpressure is reported as corruption, not an abort.
     CheckpointWriter w;
     w.bytes(service::kSessionCheckpointMagic, 8);
-    w.u32(2);
+    w.u32(service::kCheckpointVersion);
     w.u32(static_cast<std::uint32_t>(api::Algorithm::kGreedySpt));
     w.u64(1);    // one machine
     w.f64(0.2);
@@ -330,6 +284,14 @@ TEST(Checkpoint, ForgedSpeedAndVersionSkewAreDiagnosed) {
     w.u64(8192); // retire_batch
     w.u64(1);    // live_window_cap: one live job
     w.u64(0);    // shed_budget: none
+    w.u8(static_cast<std::uint8_t>(StorageBackend::kDense));
+    w.u8(0);     // shed policy: fixed budget
+    w.u8(0);     // adaptive cap disabled
+    w.u64(0);
+    w.u64(0);
+    w.f64(0.0);
+    w.f64(0.0);
+    w.u64(0);
     w.f64(1.0);  // clock
     w.u64(2);    // two journaled jobs, both live at the cut — impossible
     for (const double release : {0.0, 1.0}) {
@@ -432,7 +394,7 @@ TEST(Checkpoint, LowMemoryAndDrainedSessionsRefuse) {
   EXPECT_DEATH(done.checkpoint(), "drained");
 }
 
-// -------------------------------------------- storage backends (wire v3)
+// ---------------------------------------------------------- storage backends
 
 Instance make_backend_workload(std::uint64_t seed, std::size_t n,
                                std::size_t m, StorageBackend backend,
@@ -462,7 +424,7 @@ void feed_backend(service::SchedulerSession& session, const Instance& instance,
 
 TEST(Checkpoint, SparseSessionsRoundTripTheirVariableStrideJournal) {
   // A restricted-assignment sparse session journals (count, entries) rows of
-  // varying length — the one wire-v3 layout whose stride is data-dependent.
+  // varying length — the one journal layout whose stride is data-dependent.
   // Mid-stream cut, restore, continue: byte-identical to uninterrupted.
   const Instance instance = make_backend_workload(
       base_seed() + 60, 200, 8, StorageBackend::kSparseCsr,
@@ -573,11 +535,12 @@ TEST(Checkpoint, CompactBackendBlobTruncationIsDiagnosedNotUB) {
 
 TEST(Checkpoint, ForgedBackendFieldsAreDiagnosed) {
   using service::CheckpointWriter;
-  // The v3 header through the overload fields, for a 1-machine kGreedySpt
+  // The header through the overload fields, then `backend`, then the shed
+  // policy and adaptive cap (tuning off), for a 1-machine kGreedySpt
   // session — each case below appends a differently damaged tail.
-  const auto begin_v3 = [](CheckpointWriter& w) {
+  const auto begin = [](CheckpointWriter& w, std::uint8_t backend) {
     w.bytes(service::kSessionCheckpointMagic, 8);
-    w.u32(3);
+    w.u32(service::kCheckpointVersion);
     w.u32(static_cast<std::uint32_t>(api::Algorithm::kGreedySpt));
     w.u64(1);     // machines
     w.f64(0.2);   // epsilon
@@ -592,14 +555,21 @@ TEST(Checkpoint, ForgedBackendFieldsAreDiagnosed) {
     w.u64(8192);  // retire_batch
     w.u64(0);     // live_window_cap
     w.u64(0);     // shed_budget
+    w.u8(backend);
+    w.u8(0);      // shed policy: fixed budget
+    w.u8(0);      // adaptive cap disabled
+    w.u64(0);
+    w.u64(0);
+    w.f64(0.0);
+    w.f64(0.0);
+    w.u64(0);
   };
 
   std::string error;
   {
     // A backend id the trio does not name.
     CheckpointWriter w;
-    begin_v3(w);
-    w.u8(7);     // forged backend
+    begin(w, 7);  // forged backend
     w.f64(0.0);  // clock
     w.u64(0);    // no jobs
     EXPECT_EQ(service::SchedulerSession::restore(w.finish(), &error), nullptr);
@@ -610,8 +580,7 @@ TEST(Checkpoint, ForgedBackendFieldsAreDiagnosed) {
     // A sparse job declaring more entries than the blob holds: the count is
     // bounds-checked before any allocation or read.
     CheckpointWriter w;
-    begin_v3(w);
-    w.u8(static_cast<std::uint8_t>(StorageBackend::kSparseCsr));
+    begin(w, static_cast<std::uint8_t>(StorageBackend::kSparseCsr));
     w.f64(0.0);  // clock
     w.u64(1);    // one journaled job
     w.f64(0.0);            // release
@@ -629,8 +598,7 @@ TEST(Checkpoint, ForgedBackendFieldsAreDiagnosed) {
     // A dense journal is fixed-stride, so surplus bytes are caught by the
     // up-front size check.
     CheckpointWriter w;
-    begin_v3(w);
-    w.u8(static_cast<std::uint8_t>(StorageBackend::kDense));
+    begin(w, static_cast<std::uint8_t>(StorageBackend::kDense));
     w.f64(0.0);  // clock
     w.u64(1);    // one journaled job
     w.f64(0.0);            // release
@@ -646,8 +614,7 @@ TEST(Checkpoint, ForgedBackendFieldsAreDiagnosed) {
     // The sparse journal's stride is data-dependent, so its surplus check
     // runs after replay: bytes left over are damage, not padding.
     CheckpointWriter w;
-    begin_v3(w);
-    w.u8(static_cast<std::uint8_t>(StorageBackend::kSparseCsr));
+    begin(w, static_cast<std::uint8_t>(StorageBackend::kSparseCsr));
     w.f64(0.0);  // clock
     w.u64(1);    // one journaled job
     w.f64(0.0);            // release

@@ -22,7 +22,6 @@
 #include "extensions/weighted_flow.hpp"
 #include "fuzz_seed.hpp"
 #include "sim/schedule_io.hpp"
-#include "util/simd_argmin.hpp"
 #include "workload/generated_family.hpp"
 #include "workload/generators.hpp"
 
@@ -246,12 +245,10 @@ TEST(DispatchIndex, MachineIdsAboveUint16MatchLinearOnEveryStore) {
     const RejectionFlowResult b = run_rejection_flow(instance, linear);
     expect_same_schedule(a.schedule, b.schedule, context);
 
-    // The facade reports the order-less path and a sane SIMD tier.
+    // The facade reports the order-less path.
     const api::RunSummary summary =
         api::run(api::Algorithm::kTheorem1, instance);
     EXPECT_FALSE(summary.dispatch_index_active) << context;
-    EXPECT_TRUE(util::simd_tier_supported(summary.dispatch_simd_tier))
-        << context;
   }
 
   MachineId highest = kInvalidMachine;
