@@ -12,21 +12,20 @@
 //     measured store bytes (sparse at eligibility 1/16; generator at
 //     m = 2048, whose store is the job records only).
 //
-// Memory is reported three ways: store_bytes (the instance's exact backend
-// footprint — deterministic, diffed exactly by scripts/compare_bench.py),
-// rss_delta_mib (current-RSS growth across the case: build + run + live
-// instance, band-compared) and peak_rss_mib (process high-water mark —
-// monotone, so the grid orders generator/sparse cases BEFORE their dense
-// twins; run with --jobs 1 to keep per-case readings meaningful).
+// Memory is reported two ways: store_bytes (the instance's exact backend
+// footprint — deterministic, diffed exactly by scripts/compare_bench.py)
+// and peak_rss_mib, the case's own resident high-water mark: VmHWM is
+// reset to the current RSS when the case starts (after freed heap is handed
+// back), so the reading covers this case's build + run and nothing an
+// earlier case left behind in the allocator. VmHWM is per process, so run
+// with --jobs 1 to keep the readings per case.
 //
 // Tags: "perf" + "slow" like e16/e17; CI's perf-smoke job runs it at
-// --scale 0.05 with the compare gate (rss_* metrics take the --rss-tolerance
-// band there).
-#include <algorithm>
+// --scale 0.05 with the compare gate (peak_rss_* metrics take the
+// --rss-tolerance band there).
 #include <string>
 
 #include "core/flow/rejection_flow.hpp"
-#include "harness/peak_rss.hpp"
 #include "harness/registry.hpp"
 #include "util/timer.hpp"
 #include "workload/generated_family.hpp"
@@ -35,9 +34,9 @@
 #include <malloc.h>
 #endif
 #if defined(__linux__)
-#include <unistd.h>
-
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #endif
 
 namespace {
@@ -45,34 +44,43 @@ namespace {
 using namespace osched;
 using harness::CaseSpec;
 using harness::MetricRow;
-using harness::peak_rss_mib;
 using harness::Scenario;
 using harness::ScenarioReport;
 using harness::UnitContext;
 using harness::Verdict;
 
-/// CURRENT resident set in MiB (0.0 where unsupported). Unlike the peak,
-/// this moves down when memory is returned, so before/after deltas isolate
-/// one case's footprint. malloc_trim first hands freed arena pages back so
-/// the reading reflects live allocations, not allocator retention.
-double current_rss_mib() {
+/// Hands freed heap back to the OS and resets the process's VmHWM to its
+/// current RSS ("5" to /proc/self/clear_refs), so case_peak_rss_mib()
+/// reads the high-water mark of what runs in between. A no-op off Linux.
+void reset_peak_rss() {
 #if defined(__linux__)
 #if defined(__GLIBC__)
   malloc_trim(0);
 #endif
-  std::FILE* statm = std::fopen("/proc/self/statm", "r");
-  if (statm == nullptr) return 0.0;
-  long total = 0;
-  long resident = 0;
-  const int got = std::fscanf(statm, "%ld %ld", &total, &resident);
-  std::fclose(statm);
-  if (got != 2) return 0.0;
-  const long page = sysconf(_SC_PAGESIZE);
-  return static_cast<double>(resident) * static_cast<double>(page) /
-         (1024.0 * 1024.0);
-#else
-  return 0.0;
+  if (std::FILE* refs = std::fopen("/proc/self/clear_refs", "w")) {
+    std::fputs("5", refs);
+    std::fclose(refs);
+  }
 #endif
+}
+
+/// VmHWM in MiB: the peak RSS since the last reset_peak_rss() (0.0 where
+/// unsupported).
+double case_peak_rss_mib() {
+  double mib = 0.0;
+#if defined(__linux__)
+  std::FILE* status = std::fopen("/proc/self/status", "r");
+  if (status == nullptr) return 0.0;
+  char line[256];
+  while (std::fgets(line, sizeof(line), status) != nullptr) {
+    if (std::strncmp(line, "VmHWM:", 6) == 0) {
+      mib = std::strtod(line + 6, nullptr) / 1024.0;  // kB
+      break;
+    }
+  }
+  std::fclose(status);
+#endif
+  return mib;
 }
 
 MetricRow run_e18_unit(const UnitContext& ctx) {
@@ -87,24 +95,20 @@ MetricRow run_e18_unit(const UnitContext& ctx) {
   // oranges (cells differ by (n, m, eligibility), which is in the config).
   config.seed = ctx.scenario_seed;
 
-  const double rss_before = current_rss_mib();
+  reset_peak_rss();
   const Instance instance = workload::make_closed_form_instance(config, backend);
 
   util::Timer timer;
   const RejectionFlowResult result =
       run_rejection_flow(instance, {.epsilon = 0.25});
   const double seconds = timer.elapsed_seconds();
-  // Sampled while the instance is still live: the delta is the case's
-  // build + store + run working set.
-  const double rss_after = current_rss_mib();
 
   MetricRow row;
   row.set("seconds", seconds);
   row.set("jobs_per_sec",
           seconds > 0.0 ? static_cast<double>(config.num_jobs) / seconds : 0.0);
   row.set("store_bytes", static_cast<double>(instance.store_bytes()));
-  row.set("rss_delta_mib", std::max(0.0, rss_after - rss_before));
-  row.set("peak_rss_mib", peak_rss_mib());
+  row.set("peak_rss_mib", case_peak_rss_mib());
   // Deterministic outputs: identical across runs, binaries, --jobs values
   // AND storage backends for one (seed, scale) — the cross-backend equality
   // is asserted in the verdict below.
@@ -129,7 +133,6 @@ Scenario make_e18() {
     double m;
     double eligibility;
   } cells[] = {
-      // Compact backends FIRST (peak RSS is a process high-water mark).
       // The m=2048 sweep the dense backend cannot afford at full n:
       {"generator n=100000 m=2048", StorageBackend::kGenerator, 100000, 2048,
        1.0},
@@ -185,13 +188,13 @@ Scenario make_e18() {
                                   " bytes, not >= 4x under dense's " +
                                   std::to_string(dense_bytes)};
       }
-      // RSS cross-check, asserted only when the dense twin's measured
-      // growth is big enough (>= 64 MiB) for allocator noise to wash out —
-      // reduced-scale CI runs stay informational.
-      const double compact_rss = compact.metric("rss_delta_mib").mean();
-      const double dense_rss = dense.metric("rss_delta_mib").mean();
+      // Per-case peak RSS cross-check, asserted only when the dense twin's
+      // peak is big enough (>= 64 MiB) for the process's own footprint to
+      // wash out — reduced-scale CI runs stay informational.
+      const double compact_rss = compact.metric("peak_rss_mib").mean();
+      const double dense_rss = dense.metric("peak_rss_mib").mean();
       if (dense_rss >= 64.0 && !(compact_rss * 4.0 <= dense_rss)) {
-        return Verdict{false, std::string(pair.compact) + " RSS delta " +
+        return Verdict{false, std::string(pair.compact) + " peak RSS " +
                                   std::to_string(compact_rss) +
                                   " MiB, not >= 4x under dense's " +
                                   std::to_string(dense_rss) + " MiB"};

@@ -10,7 +10,10 @@ Compares a baseline report against a current one, metric by metric:
   faster or smaller is never a regression.
 * "workers" (the sharded cases' resolved worker count) describes the host
   the numbers came from, not a scheduling output: differences are reported
-  as informational notes, never as regressions or mismatches.
+  as informational notes, never as regressions or mismatches. The same
+  holds for a per-worker throughput ("per_worker_jobs_per_sec") whenever
+  the two reports' worker counts differ: throughput divided by different
+  worker counts is not comparable, so it is noted, not banded.
 * Metrics prefixed "seeded_" are deterministic ONLY per seed (e20's chaos
   schedule and e22's burst-warped workload move with --seed, and e22's
   per-shard overload counters — seeded_hot_deferred, seeded_total_sheds,
@@ -83,6 +86,9 @@ SEEDED_PREFIX = "seeded_"
 # from the host's core count, so a different count can explain a perf delta
 # but can never itself be a regression or a determinism error.
 ATTRIBUTION = {"workers"}
+# Throughput normalized by the worker count: only comparable between
+# reports that ran the case on the same number of workers.
+PER_WORKER = {"per_worker_jobs_per_sec"}
 
 
 def is_seeded_metric(name: str) -> bool:
@@ -228,6 +234,10 @@ def main() -> None:
             warnings.append(f"{scenario}/{label}: only in current")
             continue
         metrics = sorted(set(base[key]) | set(cur[key]))
+        workers_differ = (
+            "workers" in base[key] and "workers" in cur[key]
+            and base[key]["workers"].get("mean")
+            != cur[key]["workers"].get("mean"))
         for name in metrics:
             if name not in base[key] or name not in cur[key]:
                 side = "baseline" if name not in cur[key] else "current"
@@ -240,7 +250,7 @@ def main() -> None:
                 continue
             b, c = base[key][name], cur[key][name]
             where = f"{scenario}/{label}/{name}"
-            if name in ATTRIBUTION:
+            if name in ATTRIBUTION or (name in PER_WORKER and workers_differ):
                 if b.get("mean") != c.get("mean"):
                     attribution_notes.append(
                         f"{where}: {b.get('mean')!r} -> {c.get('mean')!r}")

@@ -379,8 +379,10 @@ class RejectionFlowPolicy final : public SimulationHooks {
   /// over inputs rounded DOWN (float_lower), with kDispatchBoundMarginF
   /// absorbing the float roundings — the bound never exceeds the rounded
   /// exact lambda, so a candidate whose bound exceeds the incumbent can
-  /// never be the lexicographic argmin. Float halves the sweep's memory
-  /// traffic, which is what the dense dispatch is bound by.
+  /// never be the lexicographic argmin. The sweeps read the double p row
+  /// and round each entry down in a register; the cached per-machine
+  /// aggregates and the bound array are float, so the block minima and the
+  /// rival screen touch half the bytes double would.
   float lambda_lower_bound(float p, std::size_t i) const {
     return p * empty_coeff_margin_ +
            pend_cnt_margin_[i] * std::min(p, pend_min_p_[i]);
@@ -463,10 +465,8 @@ class RejectionFlowPolicy final : public SimulationHooks {
     // can never be the argmin), exact lambda only for the few that
     // survive. The update rule is the lexicographic (lambda, id) argmin
     // and skips are sound, so the live list's order never changes the
-    // outcome. The bound's p converts the double row entry in-register:
-    // float_lower(rowd[i]) IS the shadow entry bit for bit, and it leaves
-    // the lazily-filled streaming shadow (JobStore::bounds_row) untouched
-    // on this path.
+    // outcome. The bound's p is the double row entry rounded down in a
+    // register, as in the sweep.
     for (const std::uint32_t i : live_list_) {
       const auto machine = static_cast<MachineId>(i);
       if (!fleet_.active(i)) continue;  // draining machines stay live
@@ -542,14 +542,14 @@ class RejectionFlowPolicy final : public SimulationHooks {
       return dispatch_idle_path(j, release, eligible, best_lambda_out);
     }
 
-    const float* row = store_.bounds_row(j);
+    const Work* row = store_.processing_row(j);
     const std::size_t m = store_.num_machines();
 
-    // Lower-bound sweep over the float32 shadow row (half the memory
-    // traffic of the double row — the resource the dense sweep is bound
-    // by). lb_[k] is the bound of the k-th eligible machine; the dense case
-    // (every machine eligible, k == machine id) is a branch-free contiguous
-    // loop over the SoA lambda inputs — the loop the layout exists for —
+    // Lower-bound sweep over the double row, each entry rounded down to
+    // float (float_lower) in a register. lb_[k] is the float32 bound of the
+    // k-th eligible machine; the dense case (every machine eligible,
+    // k == machine id) is a branch-free contiguous loop over the SoA lambda
+    // inputs — the loop the layout exists for —
     // followed by a two-level argmin; the first index attaining the minimum
     // is the smallest machine id, which is the tie-break the heap uses too.
     std::size_t seed_k = 0;
@@ -563,14 +563,14 @@ class RejectionFlowPolicy final : public SimulationHooks {
       float* __restrict lb = lb_.data();
       // See util/simd_argmin.hpp for the kernels' contracts.
       util::simd::lb_fill(row, pcm, pmp, empty_coeff_margin_, lb, m);
-      // Speed mask: the bulk fill used the RAW shadow row, which is not a
-      // lower bound on a sped-UP machine's effective lambda. O(#scaled)
+      // Speed mask: the bulk fill used the RAW row, which is not a lower
+      // bound on a sped-UP machine's effective lambda. O(#scaled)
       // overwrites recompute those entries from the UP-rounded divisor —
       // the same masked-fixup shape as the fleet mask below, and a no-op
       // while every multiplier is 1.
       if (fleet_speed_) {
         for (const std::uint32_t s : fleet_.scaled_list()) {
-          lb[s] = lambda_lower_bound(row[s] / speed_div_up_[s], s);
+          lb[s] = lambda_lower_bound(float_lower(row[s]) / speed_div_up_[s], s);
         }
       }
       // Fleet mask: O(#inactive) overwrites keep the sweep itself
@@ -589,7 +589,7 @@ class RejectionFlowPolicy final : public SimulationHooks {
           util::simd::block_minima_argmin(lb, m, block_min_.data());
       OSCHED_CHECK_LT(seed.index, m) << "no finite dispatch bound";
       seed_k = seed.index;
-      seed_p = row[seed_k];
+      seed_p = float_lower(row[seed_k]);
     } else {
       float seed_lb = std::numeric_limits<float>::max();
       for (std::size_t k = 0; k < count; ++k) {
@@ -602,9 +602,10 @@ class RejectionFlowPolicy final : public SimulationHooks {
         // bound on p/speed (speed != 1 only in the speed-augmented runs);
         // under a kSpeedChange plan the per-machine UP-rounded divisor
         // plays the same role (1.0f — exact — while unscaled).
+        const float pf = float_lower(row[i]);
         const float p = fleet_speed_
-                            ? row[i] / speed_div_up_[i]
-                            : (speed_is_one_ ? row[i] : row[i] / speed_up_);
+                            ? pf / speed_div_up_[i]
+                            : (speed_is_one_ ? pf : pf / speed_up_);
         lb_[k] = lambda_lower_bound(p, i);
         if (lb_[k] < seed_lb) {
           seed_lb = lb_[k];
@@ -622,12 +623,6 @@ class RejectionFlowPolicy final : public SimulationHooks {
       // itself active-filtered — settles it, including kInvalidMachine.
       return dispatch_linear_scan(j, best_lambda_out);
     }
-    // The exact lambda evaluation below is the dispatch's only read of the
-    // DOUBLE p row — a cold line (the sweep streams the float shadow). Kick
-    // the fetch off now and fill its latency shadow with the rival screen,
-    // which only needs float state.
-    __builtin_prefetch(store_.processing_row(j) + seed_i, 0, 0);
-
     // Rival screen against a sound float UPPER bound of the seed lambda
     // (lambda_seed = p/eps + p + sum min(p_l, p) <= (n_seed + 1 + 1/eps) *
     // p_up in reals; the 1.0001 factors absorb every float rounding). The

@@ -30,9 +30,7 @@ std::size_t one_block(std::size_t n) { return std::max<std::size_t>(n, 1); }
 }  // namespace
 
 Instance::Instance(JobStore store, std::string problems)
-    : store_(std::move(store)), problems_(std::move(problems)) {
-  store_.fill_shadow();
-}
+    : store_(std::move(store)), problems_(std::move(problems)) {}
 
 Instance::Instance()
     : Instance(std::vector<Job>{}, std::vector<std::vector<Work>>{}) {}
@@ -48,32 +46,31 @@ Instance::Instance(std::vector<Job> jobs,
   // Sort jobs by (release, id), permuting matrix columns to match.
   const std::vector<std::size_t> perm = release_order(jobs);
 
-  // Transpose the machine-major input into the store's job-major block
-  // eight machines at a time (one cache line of each job's row per block),
-  // and release each input row as soon as its block is copied, so the
-  // input and the block coexist only once and the shadow and adjacency the
-  // store allocates next can reuse the freed rows. The same pass counts
-  // the eligible entries, so the adjacency is allocated exactly.
+  // Transpose the machine-major input into the store's job-major block one
+  // job row at a time. The block is only reserved, so every entry is
+  // written once, with no zero fill first; each row gathers one entry from
+  // every input row into a scratch row, and the next few jobs read the same
+  // cache lines. The same pass counts the finite entries, which lets the
+  // store skip its per-row eligibility scan when every row is fully
+  // eligible.
   const std::size_t n = jobs.size();
   const std::size_t m = processing.size();
-  constexpr std::size_t kTransposeBlock = 8;
-  std::vector<Work> rows(m * n);
+  std::vector<const Work*> columns(m);
+  for (std::size_t i = 0; i < m; ++i) columns[i] = processing[i].data();
+  std::vector<Work> rows;
+  rows.reserve(m * n);
+  std::vector<Work> row(m);
   std::size_t num_eligible = 0;
-  for (std::size_t lo = 0; lo < m; lo += kTransposeBlock) {
-    const std::size_t hi = std::min(m, lo + kTransposeBlock);
-    for (std::size_t pos = 0; pos < n; ++pos) {
-      Work* job_slice = rows.data() + pos * m;
-      const std::size_t original = perm[pos];
-      for (std::size_t i = lo; i < hi; ++i) {
-        const Work p = processing[i][original];
-        job_slice[i] = p;
-        num_eligible += static_cast<std::size_t>(p < kTimeInfinity);
-      }
+  for (std::size_t pos = 0; pos < n; ++pos) {
+    const std::size_t original = perm[pos];
+    for (std::size_t i = 0; i < m; ++i) {
+      const Work p = columns[i][original];
+      row[i] = p;
+      num_eligible += static_cast<std::size_t>(p < kTimeInfinity);
     }
-    for (std::size_t i = lo; i < hi; ++i) {
-      std::vector<Work>().swap(processing[i]);
-    }
+    rows.insert(rows.end(), row.begin(), row.end());
   }
+  processing = {};
   std::vector<Job> sorted(n);
   for (std::size_t pos = 0; pos < n; ++pos) sorted[pos] = jobs[perm[pos]];
 

@@ -6,11 +6,10 @@
 // closed-form generator — and the schedulers make bit-identical decisions
 // over all three (tests/storage_backend_test.cpp pins that down
 // differentially). An Instance is that store, sealed: every job was checked
-// by the store's one validation predicate, nothing is ever retired, and the
-// dense float shadow is filled at construction, so no read mutates it and a
-// const Instance can be shared between threads. Runs read it through a
-// per-run StoreReader (the policies' row-tile scratch); the façade
-// accessors here serve checkers, metrics and analysis.
+// by the store's one validation predicate and nothing is ever retired, so
+// no read writes to it and a const Instance can be shared between threads.
+// Runs read it through a per-run StoreReader (the policies' row-tile
+// scratch); the façade accessors here serve checkers, metrics and analysis.
 #pragma once
 
 #include <memory>
@@ -139,8 +138,7 @@ class Instance {
  private:
   friend class JobStore;  // take_instance hands a store over
 
-  /// Seals `store` (fills the rest of its float shadow) with the verdict
-  /// its ingest collected.
+  /// Seals `store` with the verdict its ingest collected.
   Instance(JobStore store, std::string problems);
 
   JobStore store_;

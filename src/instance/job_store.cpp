@@ -1,6 +1,5 @@
 #include "instance/job_store.hpp"
 
-#include <cfloat>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -36,12 +35,14 @@ JobStore::JobStore(std::size_t num_machines, std::size_t jobs_per_block,
   if (backend_ == StorageBackend::kGenerator) {
     OSCHED_CHECK(generator_ != nullptr)
         << "a generator-backed store needs the closed form";
-    identity_machines_.resize(num_machines_);
-    std::iota(identity_machines_.begin(), identity_machines_.end(),
-              MachineId{0});
   } else {
     OSCHED_CHECK(generator_ == nullptr)
         << "only the kGenerator backend takes a row generator";
+  }
+  if (backend_ != StorageBackend::kSparseCsr) {
+    identity_machines_.resize(num_machines_);
+    std::iota(identity_machines_.begin(), identity_machines_.end(),
+              MachineId{0});
   }
 }
 
@@ -227,10 +228,12 @@ JobStore::Block& JobStore::tail_block() {
   if (block_index == blocks_.size()) {
     Block& fresh = blocks_.emplace_back();
     if (backend_ == StorageBackend::kDense) {
+      // Dense blocks start without adjacency (see index_dense_row).
       fresh.processing.reserve(jobs_per_block_ * num_machines_);
+    } else {
+      fresh.eligible_offsets.reserve(jobs_per_block_ + 1);
+      fresh.eligible_offsets.push_back(0);
     }
-    fresh.eligible_offsets.reserve(jobs_per_block_ + 1);
-    fresh.eligible_offsets.push_back(0);
   }
   return blocks_[block_index];
 }
@@ -244,14 +247,41 @@ void JobStore::end_row(Block& block) {
       static_cast<std::uint32_t>(block.eligible.size()));
 }
 
+void JobStore::index_dense_row(Block& block, std::size_t offset) {
+  const std::size_t m = num_machines_;
+  const Work* row = block.processing.data() + offset * m;
+  if (block.eligible_offsets.empty()) {
+    bool fully_eligible = true;
+    for (std::size_t i = 0; i < m; ++i) {
+      fully_eligible &= row[i] < kTimeInfinity;
+    }
+    if (fully_eligible) return;
+    // The block's first row with an ineligible machine: its predecessors
+    // get explicit identity rows, and every row is indexed from here on.
+    block.eligible_offsets.reserve(jobs_per_block_ + 1);
+    block.eligible_offsets.push_back(0);
+    for (std::size_t r = 0; r < offset; ++r) {
+      block.eligible.insert(block.eligible.end(), identity_machines_.begin(),
+                            identity_machines_.end());
+      end_row(block);
+    }
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    if (row[i] < kTimeInfinity) {
+      block.eligible.push_back(static_cast<MachineId>(i));
+    }
+  }
+  end_row(block);
+}
+
 void JobStore::reserve(std::size_t jobs, std::size_t entries) {
   jobs_.reserve(num_jobs_ - static_cast<std::size_t>(begin_id_) + jobs);
-  if (backend_ == StorageBackend::kGenerator) return;
+  // A dense block reserves its rows on opening and indexes only the rows
+  // that need it; a generator store keeps no blocks.
+  if (backend_ != StorageBackend::kSparseCsr) return;
   Block& block = tail_block();
   block.eligible.reserve(block.eligible.size() + entries);
-  if (backend_ == StorageBackend::kSparseCsr) {
-    block.csr_p.reserve(block.csr_p.size() + entries);
-  }
+  block.csr_p.reserve(block.csr_p.size() + entries);
 }
 
 JobId JobStore::append_unchecked(const JobView& job) {
@@ -264,28 +294,21 @@ JobId JobStore::append_unchecked(const JobView& job) {
     // a metadata-only job stores nothing else.
     Block& block = tail_block();
     if (backend_ == StorageBackend::kDense) {
-      const std::size_t base = block.processing.size();
       if (!job.entries.empty()) {
         // Sparse submission into a dense store: scatter over an
         // infinity-filled row (the dense store's own O(m) cost).
+        const std::size_t base = block.processing.size();
         block.processing.resize(base + num_machines_, kTimeInfinity);
         for (const SparseEntry& entry : job.entries) {
           block.processing[base + static_cast<std::size_t>(entry.machine)] =
               entry.p;
-          block.eligible.push_back(entry.machine);
         }
       } else {
-        // The float shadow is NOT written here: it fills lazily on the
-        // first bounds_row() touch (see the header).
         block.processing.insert(block.processing.end(),
                                 job.processing.begin(), job.processing.end());
-        for (std::size_t i = 0; i < job.processing.size(); ++i) {
-          if (job.processing[i] < kTimeInfinity) {
-            block.eligible.push_back(static_cast<MachineId>(i));
-          }
-        }
       }
       bump_matrix_bytes(num_machines_ * sizeof(Work));
+      index_dense_row(block, offset_of(id));
     } else {
       const std::size_t before = block.csr_p.size();
       if (!job.entries.empty()) {
@@ -303,8 +326,8 @@ JobId JobStore::append_unchecked(const JobView& job) {
         }
       }
       bump_matrix_bytes((block.csr_p.size() - before) * sizeof(Work));
+      end_row(block);
     }
-    end_row(block);
   }
 
   last_release_ = job.release;
@@ -323,10 +346,8 @@ void JobStore::adopt_dense_rows(std::span<const Job> jobs,
   Block& block = blocks_.emplace_back();
   block.processing = std::move(rows);
   bump_matrix_bytes(block.processing.size() * sizeof(Work));
-  block.eligible_offsets.reserve(jobs.size() + 1);
-  block.eligible_offsets.push_back(0);
-  block.eligible.reserve(num_entries);
   jobs_.reserve(jobs.size());
+  const bool fully_eligible = num_entries == block.processing.size();
   const std::size_t m = num_machines_;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     const Work* row = block.processing.data() + j * m;
@@ -340,43 +361,9 @@ void JobStore::adopt_dense_rows(std::span<const Job> jobs,
     jobs_.extend_to(j + 1);
     jobs_[j] = Job{static_cast<JobId>(j), src.release, src.weight,
                    src.deadline};
-    for (std::size_t i = 0; i < m; ++i) {
-      if (row[i] < kTimeInfinity) {
-        block.eligible.push_back(static_cast<MachineId>(i));
-      }
-    }
-    end_row(block);
-    // Shadow the row while it is cache-hot (a sealed store's shadow is
-    // filled at construction anyway).
-    fill_bounds(block, j);
+    if (!fully_eligible) index_dense_row(block, j);
     last_release_ = src.release;
     ++num_jobs_;
-  }
-}
-
-void JobStore::fill_bounds(const Block& block, std::size_t offset) const {
-  // One-time block allocation, then a contiguous conversion sweep over
-  // every row appended since the last touch. float_lower maps inf to
-  // FLT_MAX, the encoding every shadow row uses for ineligible entries.
-  if (block.bounds.empty()) {
-    block.bounds.resize(jobs_per_block_ * num_machines_);
-    bump_matrix_bytes(block.bounds.size() * sizeof(float));
-  }
-  const std::size_t begin = block.bounds_rows_filled * num_machines_;
-  const std::size_t end = (offset + 1) * num_machines_;
-  const Work* __restrict from = block.processing.data();
-  float* __restrict to = block.bounds.data();
-  for (std::size_t k = begin; k < end; ++k) {
-    to[k] = float_lower(from[k]);
-  }
-  block.bounds_rows_filled = offset + 1;
-}
-
-void JobStore::fill_shadow() {
-  if (backend_ != StorageBackend::kDense) return;
-  for (const Block& block : blocks_) {
-    const std::size_t rows = block.eligible_offsets.size();  // rows + 1
-    if (rows > block.bounds_rows_filled + 1) fill_bounds(block, rows - 2);
   }
 }
 
@@ -416,9 +403,8 @@ std::size_t JobStore::store_bytes() const {
                           sizeof(Job) +
                       bytes(identity_machines_);
   for (const Block& block : blocks_) {
-    total += bytes(block.processing) + bytes(block.bounds) +
-             bytes(block.eligible) + bytes(block.eligible_offsets) +
-             bytes(block.csr_p);
+    total += bytes(block.processing) + bytes(block.eligible) +
+             bytes(block.eligible_offsets) + bytes(block.csr_p);
   }
   return total;
 }
@@ -452,10 +438,8 @@ StoreReader::RowTile& StoreReader::fill(JobId j) const {
   RowTile& slot = tiles_[static_cast<std::size_t>(j) % kTileSlots];
   const std::size_t m = store_->num_machines();
   if (slot.p.size() != m) {
-    // FLT_MAX = float_lower(kTimeInfinity): ineligible entries read as in a
-    // dense row and its shadow.
+    // Ineligible entries read +infinity, as in a dense row.
     slot.p.assign(m, kTimeInfinity);
-    slot.bounds.assign(m, FLT_MAX);
     slot.set.clear();
   }
   if (store_->backend() == StorageBackend::kGenerator) {
@@ -465,7 +449,6 @@ StoreReader::RowTile& StoreReader::fill(JobId j) const {
     // CSR: reset the entries the previous row set, then scatter this one.
     for (const MachineId i : slot.set) {
       slot.p[static_cast<std::size_t>(i)] = kTimeInfinity;
-      slot.bounds[static_cast<std::size_t>(i)] = FLT_MAX;
     }
     const EligibleMachines eligible = store_->eligible_machines(j);
     const Work* values = store_->csr_values(j);
@@ -474,23 +457,8 @@ StoreReader::RowTile& StoreReader::fill(JobId j) const {
       slot.p[static_cast<std::size_t>(slot.set[e])] = values[e];
     }
   }
-  slot.has_bounds = false;
   slot.id = j;
   return slot;
-}
-
-void StoreReader::fill_bounds(RowTile& slot) const {
-  if (store_->backend() == StorageBackend::kGenerator) {
-    for (std::size_t i = 0; i < slot.p.size(); ++i) {
-      slot.bounds[i] = float_lower(slot.p[i]);
-    }
-  } else {
-    for (const MachineId i : slot.set) {
-      const auto k = static_cast<std::size_t>(i);
-      slot.bounds[k] = float_lower(slot.p[k]);
-    }
-  }
-  slot.has_bounds = true;
 }
 
 }  // namespace osched

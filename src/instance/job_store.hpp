@@ -6,16 +6,22 @@
 // restricted assignment). A JobStore holds the job records plus that
 // matrix in one of three representations (StorageBackend):
 //
-//  * kDense     — each block holds a job-major m-wide double matrix plus a
-//                 float_lower shadow. Accepts dense AND sparse submission
-//                 forms (sparse entries scatter into an infinity-filled row).
+//  * kDense     — each block holds only its job-major m-wide double rows
+//                 (8 bytes per entry). While every row of a block is fully
+//                 eligible the block keeps no adjacency: eligible_machines
+//                 returns the store's shared identity row. The first row
+//                 with an ineligible machine materializes identity rows for
+//                 the rows before it, and the block indexes every row from
+//                 then on. Accepts dense AND sparse submission forms (sparse
+//                 entries scatter into an infinity-filled row).
 //  * kSparseCsr — each block stores only the eligible (machine, p) entries,
 //                 as a values array aligned with the eligibility adjacency.
 //                 A restricted-assignment job costs O(eligible), never O(m).
 //                 Accepts both submission forms (a dense row is compacted).
 //  * kGenerator — no matrix at all: p_ij comes from a shared RowGenerator
-//                 closed form (fully eligible by contract). Submissions are
-//                 METADATA-ONLY (release/weight/deadline; no payload).
+//                 closed form (fully eligible by contract, so every job
+//                 reads the identity row). Submissions are METADATA-ONLY
+//                 (release/weight/deadline; no payload).
 // The choice never changes a scheduling outcome — only memory footprint and
 // the constant factors of the accessors.
 //
@@ -28,10 +34,10 @@
 // Reading a retired job aborts — schedulers only touch pending/running
 // jobs, so a read below the frontier is a bug.
 //
-// A batch Instance (instance.hpp) is a sealed JobStore: nothing retired,
-// the float shadow filled, so no read mutates it and a const Instance can
-// be shared between threads. The m-wide rows the dispatch reads for the
-// compact backends are decompressed by a StoreReader (below), one per run.
+// A batch Instance (instance.hpp) is a sealed JobStore: nothing retired and
+// no read writes to it, so a const Instance can be shared between threads.
+// The m-wide rows the dispatch reads for the compact backends are
+// decompressed by a StoreReader (below), one per run.
 #pragma once
 
 #include <algorithm>
@@ -67,7 +73,7 @@ struct EligibleMachines {
 
 /// Which representation a store keeps its p_ij matrix in.
 enum class StorageBackend {
-  kDense,      ///< job-major m-wide rows (+ float shadow)
+  kDense,      ///< job-major m-wide rows
   kSparseCsr,  ///< eligible entries only, CSR over the adjacency
   kGenerator,  ///< p_ij synthesized on demand from a closed form
 };
@@ -180,9 +186,10 @@ class JobStore {
 
   /// kDense batch ingest of a whole empty store: adopts `rows`, the
   /// job-major jobs.size() × m matrix, as one block WITHOUT copying it, then
-  /// checks (as append_reporting), indexes and shadows it row by row.
-  /// `num_entries` is the exact count of finite entries, so the adjacency
-  /// is allocated once. jobs.size() must fit in one block.
+  /// checks (as append_reporting) and indexes it row by row. `num_entries`
+  /// is the exact count of finite entries: when it is rows.size(), every
+  /// row is fully eligible and none is scanned for indexing. jobs.size()
+  /// must fit in one block.
   void adopt_dense_rows(std::span<const Job> jobs, std::vector<Work> rows,
                         std::size_t num_entries, std::ostream& problems);
 
@@ -191,22 +198,18 @@ class JobStore {
   /// size up front).
   void reserve(std::size_t jobs, std::size_t entries);
 
-  /// Fills every float-shadow row not filled yet. Afterwards no read
-  /// mutates the store, which is what makes a sealed store safe to share.
-  void fill_shadow();
-
   /// Frees every block that lies entirely below `frontier`.
   void retire_below(JobId frontier);
 
   /// Hands the store over to a batch Instance — no copy, no re-sort, no
-  /// re-validation (every job already passed the gate) — and fills the
-  /// remaining float shadow. Only legal while nothing has been retired.
+  /// re-validation (every job already passed the gate). Only legal while
+  /// nothing has been retired.
   /// This store is empty afterwards: every read aborts. Retention-mode
   /// sessions call it at drain time, after the policy's last store read.
   Instance take_instance();
 
-  /// Bytes currently held in p_ij payload across live blocks: dense rows,
-  /// float shadows and CSR value arrays. Job records and the eligibility
+  /// Bytes currently held in p_ij payload across live blocks: dense rows
+  /// and CSR value arrays. Job records and the eligibility
   /// adjacency are excluded — this is the number that collapses for compact
   /// backends (a kGenerator store reports 0 forever). matrix_peak_bytes()
   /// is its lifetime high-water mark, the deterministic per-tenant memory
@@ -215,9 +218,9 @@ class JobStore {
   std::size_t matrix_peak_bytes() const { return matrix_peak_bytes_; }
 
   /// Exact byte footprint of the live representation: job records, dense
-  /// rows and shadow, CSR values, adjacency and its uint32 offsets, and the
-  /// generator's shared identity row. Deterministic for a given store —
-  /// bench reports treat it as an exact-match metric.
+  /// rows, CSR values, adjacency and its uint32 offsets, and the shared
+  /// identity row (dense and generator stores). Deterministic for a given
+  /// store — bench reports treat it as an exact-match metric.
   std::size_t store_bytes() const;
 
   // ---- the accessor surface the policies read (through a StoreReader) ----
@@ -265,27 +268,14 @@ class JobStore {
     return block_of(j).processing.data() + offset_of(j) * num_machines_;
   }
 
-  /// Rounded-down float32 shadow of processing_row. kDense ONLY. A
-  /// streaming store fills it LAZILY: append() never touches the shadow;
-  /// the first bounds_row() on a block allocates the block's shadow and
-  /// fills every row up to j in one contiguous branch-free conversion loop,
-  /// so runs that never read bounds never pay for it. A sealed store has it
-  /// filled already.
-  const float* bounds_row(JobId j) const {
-    OSCHED_CHECK(backend_ == StorageBackend::kDense);
-    const Block& b = block_of(j);
-    const std::size_t offset = offset_of(j);
-    if (offset >= b.bounds_rows_filled) fill_bounds(b, offset);
-    return b.bounds.data() + offset * num_machines_;
-  }
-
   EligibleMachines eligible_machines(JobId j) const {
     if (backend_ == StorageBackend::kGenerator) {
       (void)job(j);  // the retirement abort holds for every backend
-      return EligibleMachines{identity_machines_.data(),
-                              identity_machines_.data() + num_machines_};
+      return identity_row();
     }
     const Block& b = block_of(j);
+    // A dense block of fully eligible rows keeps no adjacency.
+    if (b.eligible_offsets.empty()) return identity_row();
     const std::size_t offset = offset_of(j);
     const MachineId* base = b.eligible.data();
     return EligibleMachines{base + b.eligible_offsets[offset],
@@ -323,11 +313,9 @@ class JobStore {
 
   struct Block {
     std::vector<Work> processing;  ///< kDense: rows * m, job-major
-    /// float_lower shadow of processing, lazily materialized (bounds_row).
-    mutable std::vector<float> bounds;
-    mutable std::size_t bounds_rows_filled = 0;
-    /// Eligibility adjacency (kGenerator rows are implicitly the identity
-    /// and keep no blocks at all).
+    /// Eligibility adjacency. A kDense block leaves both empty while every
+    /// row it holds is fully eligible (see index_dense_row); kGenerator
+    /// rows are implicitly the identity and keep no blocks at all.
     std::vector<MachineId> eligible;
     std::vector<std::uint32_t> eligible_offsets;  ///< rows + 1
     /// kSparseCsr: stored p values, aligned with `eligible`.
@@ -338,17 +326,22 @@ class JobStore {
   Block& tail_block();
   /// Closes row `offset` of the adjacency; the uint32 offsets must not wrap.
   void end_row(Block& block);
+  /// Indexes the dense row just stored at `offset` of `block`: nothing while
+  /// the block is all fully eligible rows; the first row with an ineligible
+  /// machine first writes identity rows for the `offset` rows before it.
+  void index_dense_row(Block& block, std::size_t offset);
 
-  /// Extends the block's shadow through row `offset` (see bounds_row).
-  void fill_bounds(const Block& block, std::size_t offset) const;
+  EligibleMachines identity_row() const {
+    return EligibleMachines{identity_machines_.data(),
+                            identity_machines_.data() + num_machines_};
+  }
 
   /// p-payload bytes a block currently holds (the matrix_bytes unit).
   static std::size_t block_matrix_bytes(const Block& block) {
     return block.processing.size() * sizeof(Work) +
-           block.bounds.size() * sizeof(float) +
            block.csr_p.size() * sizeof(Work);
   }
-  void bump_matrix_bytes(std::size_t bytes) const {
+  void bump_matrix_bytes(std::size_t bytes) {
     matrix_bytes_ += bytes;
     matrix_peak_bytes_ = std::max(matrix_peak_bytes_, matrix_bytes_);
   }
@@ -368,7 +361,8 @@ class JobStore {
   std::size_t jobs_per_block_;
   StorageBackend backend_ = StorageBackend::kDense;
   std::shared_ptr<const RowGenerator> generator_;
-  /// kGenerator: the identity adjacency row every job shares.
+  /// 0..m-1: the adjacency of every fully eligible dense row and of every
+  /// generator row (a kSparseCsr store keeps it empty).
   std::vector<MachineId> identity_machines_;
   std::size_t num_jobs_ = 0;
   JobId begin_id_ = 0;
@@ -377,8 +371,8 @@ class JobStore {
   util::SlidingVector<Job> jobs_;
   /// blocks_[b] covers ids [b*B, (b+1)*B); retired blocks are emptied.
   std::vector<Block> blocks_;
-  mutable std::size_t matrix_bytes_ = 0;
-  mutable std::size_t matrix_peak_bytes_ = 0;
+  std::size_t matrix_bytes_ = 0;
+  std::size_t matrix_peak_bytes_ = 0;
 };
 
 /// The per-run read surface the policies, the engine and the checkers are
@@ -427,22 +421,10 @@ class StoreReader {
   const Work* processing_row(JobId j) const {
     return dense_ ? store_->processing_row(j) : tile(j).p.data();
   }
-  /// float_lower shadow of processing_row (FLT_MAX where ineligible). A
-  /// tile converts its shadow on the first bounds_row() of the row only:
-  /// dispatches that never read bounds never pay for them.
-  const float* bounds_row(JobId j) const {
-    if (dense_) return store_->bounds_row(j);
-    RowTile& slot = tile(j);
-    if (!slot.has_bounds) fill_bounds(slot);
-    return slot.bounds.data();
-  }
-
  private:
   struct RowTile {
     JobId id = kInvalidJob;
     std::vector<Work> p;
-    std::vector<float> bounds;
-    bool has_bounds = false;
     /// CSR: the machines the held row set, so the next fill resets only
     /// those entries (O(eligible), not O(m)).
     std::vector<MachineId> set;
@@ -458,7 +440,6 @@ class StoreReader {
     return fill(j);
   }
   RowTile& fill(JobId j) const;
-  void fill_bounds(RowTile& slot) const;
 
   const JobStore* store_;
   bool dense_;

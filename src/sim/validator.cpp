@@ -14,6 +14,15 @@ struct Interval {
   JobId job;
 };
 
+/// "job <j> (<fate>): ", the prefix of every per-job violation. Built only
+/// when a violation fires: formatting it for every job would cost more
+/// than all the checks.
+std::string job_tag(JobId j, JobFate fate) {
+  std::ostringstream tag;
+  tag << "job " << j << " (" << to_string(fate) << "): ";
+  return tag.str();
+}
+
 }  // namespace
 
 std::vector<std::string> validate_schedule(const Schedule& schedule,
@@ -33,12 +42,11 @@ std::vector<std::string> validate_schedule(const Schedule& schedule,
     const auto j = static_cast<JobId>(idx);
     const JobRecord& rec = schedule.record(j);
     const Job& job = instance.job(j);
-    std::ostringstream tag;
-    tag << "job " << j << " (" << to_string(rec.fate) << "): ";
+    const auto tag = [j, &rec] { return job_tag(j, rec.fate); };
 
     if (rec.fate == JobFate::kUnscheduled || rec.fate == JobFate::kPending) {
       if (options.require_all_decided) {
-        violation(tag.str() + "left undecided at end of run");
+        violation(tag() + "left undecided at end of run");
       }
       continue;
     }
@@ -47,9 +55,9 @@ std::vector<std::string> validate_schedule(const Schedule& schedule,
     // machine (immediate-rejection policies, Lemma 1 setting): only the
     // timing is checkable.
     if (rec.fate == JobFate::kRejectedPending && rec.machine == kInvalidMachine) {
-      if (rec.started) violation(tag.str() + "queue-rejected but started");
+      if (rec.started) violation(tag() + "queue-rejected but started");
       if (rec.rejection_time < job.release - tol) {
-        violation(tag.str() + "rejected before release");
+        violation(tag() + "rejected before release");
       }
       continue;
     }
@@ -57,36 +65,36 @@ std::vector<std::string> validate_schedule(const Schedule& schedule,
     // Dispatched machine must exist and be eligible.
     if (rec.machine < 0 ||
         static_cast<std::size_t>(rec.machine) >= instance.num_machines()) {
-      violation(tag.str() + "invalid machine index");
+      violation(tag() + "invalid machine index");
       continue;
     }
     if (!instance.eligible(rec.machine, j)) {
-      violation(tag.str() + "assigned to ineligible machine");
+      violation(tag() + "assigned to ineligible machine");
       continue;
     }
 
     if (rec.fate == JobFate::kRejectedPending) {
-      if (rec.started) violation(tag.str() + "queue-rejected but started");
+      if (rec.started) violation(tag() + "queue-rejected but started");
       if (rec.rejection_time < job.release - tol) {
-        violation(tag.str() + "rejected before release");
+        violation(tag() + "rejected before release");
       }
       continue;
     }
 
     // Completed or rejected-running: must have started.
     if (!rec.started) {
-      violation(tag.str() + "finished without starting");
+      violation(tag() + "finished without starting");
       continue;
     }
     if (rec.start < job.release - tol) {
-      violation(tag.str() + "started before release");
+      violation(tag() + "started before release");
     }
     if (rec.speed <= 0.0) {
-      violation(tag.str() + "non-positive speed");
+      violation(tag() + "non-positive speed");
       continue;
     }
     if (rec.end < rec.start - tol) {
-      violation(tag.str() + "ends before it starts");
+      violation(tag() + "ends before it starts");
     }
 
     if (rec.fate == JobFate::kCompleted) {
@@ -95,26 +103,26 @@ std::vector<std::string> validate_schedule(const Schedule& schedule,
       const Time actual = rec.end - rec.start;
       if (std::abs(actual - required) > tol * std::max(1.0, required)) {
         std::ostringstream msg;
-        msg << tag.str() << "non-preemptive duration mismatch: ran " << actual
+        msg << tag() << "non-preemptive duration mismatch: ran " << actual
             << ", needs " << required;
         violation(msg.str());
       }
       if (options.require_deadlines && job.has_deadline() &&
           rec.end > job.deadline + tol) {
         std::ostringstream msg;
-        msg << tag.str() << "misses deadline " << job.deadline << " (ends "
+        msg << tag() << "misses deadline " << job.deadline << " (ends "
             << rec.end << ")";
         violation(msg.str());
       }
     } else {  // kRejectedRunning
       if (std::abs(rec.rejection_time - rec.end) > tol) {
-        violation(tag.str() + "interruption time disagrees with end time");
+        violation(tag() + "interruption time disagrees with end time");
       }
       // An interrupted job must not have exceeded its full processing need
       // (otherwise it should have completed).
       const Work p = instance.processing(rec.machine, j);
       if (rec.end - rec.start > p / rec.speed + tol) {
-        violation(tag.str() + "ran longer than its processing requirement");
+        violation(tag() + "ran longer than its processing requirement");
       }
     }
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "util/types.hpp"
+
 namespace osched::util {
 
 const char* to_string(SimdTier) { return "scalar"; }
@@ -11,10 +13,10 @@ SimdTier active_simd_tier() { return SimdTier::kScalar; }
 
 namespace simd {
 
-void lb_fill(const float* row, const float* pcm, const float* pmp, float coeff,
-             float* lb, std::size_t m) {
+void lb_fill(const double* row, const float* pcm, const float* pmp,
+             float coeff, float* lb, std::size_t m) {
   for (std::size_t i = 0; i < m; ++i) {
-    const float p = row[i];
+    const float p = float_lower(row[i]);
     lb[i] = p * coeff + pcm[i] * std::min(p, pmp[i]);
   }
 }

@@ -1,19 +1,20 @@
 // The dispatch kernels of rejection_flow_policy.hpp's dense sweep.
 //
 // The dense dispatch sweep is three loops over machine-indexed arrays: the
-// float32 lower-bound fill, the kBlock=8 block minima + first-index argmin,
-// and (on the idle path) the exact idle-machine lambda argmin over the
-// double row. They are plain scalar loops, kept out of line so the policy
-// template stays readable; the compiler vectorizes what it can.
+// float32 lower-bound fill over the job's double row, the kBlock=8 block
+// minima + first-index argmin, and (on the idle path) the exact
+// idle-machine lambda argmin over the same double row. They are plain
+// scalar loops, kept out of line so the policy template stays readable;
+// the compiler vectorizes what it can.
 //
 // Contracts the dispatch relies on:
-//  * lb_fill performs, per machine, exactly mul/min/mul/add (no FMA: the
-//    portable baseline has no FMA instruction, and OSCHED_NATIVE adds
-//    -ffp-contract=off).
-//  * Inputs are NaN-free (finite positive p, +inf for masked machines, and
-//    the float_lower shadow maps +inf to FLT_MAX) and never -0.0, so min is
-//    exactly associative and commutative: any reduction order yields the
-//    same minimum VALUE.
+//  * lb_fill rounds each double p DOWN to float (float_lower, in a
+//    register: +inf becomes FLT_MAX) and then performs exactly
+//    mul/min/mul/add (no FMA: the portable baseline has no FMA
+//    instruction, and OSCHED_NATIVE adds -ffp-contract=off).
+//  * Inputs are NaN-free (finite positive p, +inf for ineligible machines)
+//    and never -0.0, so min is exactly associative and commutative: any
+//    reduction order yields the same minimum VALUE.
 //  * Index selection is first-index-of-minimum, the lexicographic
 //    (value, id) tie-break of the linear-scan dispatch.
 // tests/simd_argmin_test.cpp checks each kernel against a naive loop.
@@ -35,9 +36,9 @@ SimdTier active_simd_tier();
 
 namespace simd {
 
-/// lb[i] = row[i] * coeff + pcm[i] * min(row[i], pmp[i]) for i in [0, m) —
-/// the dense lower-bound fill of the dispatch sweep.
-void lb_fill(const float* row, const float* pcm, const float* pmp,
+/// lb[i] = p * coeff + pcm[i] * min(p, pmp[i]) with p = float_lower(row[i])
+/// for i in [0, m) — the dense lower-bound fill of the dispatch sweep.
+void lb_fill(const double* row, const float* pcm, const float* pmp,
              float coeff, float* lb, std::size_t m);
 
 /// (minimum value, first index attaining it) over values[0, n). n == 0

@@ -66,17 +66,18 @@ enum class DispatchMode {
 /// *rounded* lambda value — a pruned machine can never be the argmin.
 inline constexpr double kDispatchBoundMargin = 1.0 - 1.0 / (1 << 20);
 
-/// The float32 counterpart for the shadow-bounds sweep (half the memory
-/// traffic of the double row). Float evaluation adds at most a few 2^-24
-/// relative roundings on top of inputs that are themselves rounded DOWN
-/// (float_lower), so a 2^-16 margin keeps the bound sound with room to
-/// spare while giving up a negligible sliver of pruning power.
+/// The float32 counterpart for the dispatch sweep's bounds, which are
+/// evaluated in float over the double p row rounded DOWN entry by entry
+/// (float_lower). Float evaluation adds at most a few 2^-24 relative
+/// roundings on top of those rounded-down inputs, so a 2^-16 margin keeps
+/// the bound sound with room to spare while giving up a negligible sliver
+/// of pruning power.
 inline constexpr float kDispatchBoundMarginF = 1.0f - 1.0f / (1 << 16);
 
 /// Largest float <= x for finite non-negative x; +infinity maps to
 /// FLT_MAX. This is the rounded-down double-to-float conversion behind the
-/// dispatch index's shadow bounds: the float shadow never exceeds the
-/// double it stands in for, which is what keeps the float bounds sound.
+/// dispatch index's float bounds: the converted p never exceeds the double
+/// it stands in for, which is what keeps the float bounds sound.
 /// One ulp toward zero is an integer decrement of the IEEE representation
 /// for positive floats — nextafterf is a libm call, too slow for a
 /// per-queue-touch operation.
@@ -85,8 +86,8 @@ inline float float_lower(double x) {
   std::uint32_t bits;
   std::memcpy(&bits, &f, sizeof(bits));
   // Branchless one-ulp step toward zero whenever the nearest-rounding went
-  // up (or x was +inf): the conversion runs per matrix entry on streaming
-  // appends, where a 50/50 branch would mispredict constantly.
+  // up (or x was +inf): the conversion runs per row entry in the dispatch
+  // sweep, where a 50/50 branch would mispredict constantly.
   // (`|`, not `||`: a short-circuit is a branch, and GCC keeps it.)
   bits -= static_cast<std::uint32_t>(
       (static_cast<double>(f) > x) |

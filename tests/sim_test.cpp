@@ -339,6 +339,23 @@ TEST(Validator, CatchesDurationMismatch) {
   EXPECT_NE(violations[0].find("duration mismatch"), std::string::npos);
 }
 
+TEST(Validator, ViolationTextIsExact) {
+  // The per-job prefix is built only when a violation fires; pin the whole
+  // message, prefix included, so that laziness never changes the text.
+  const Instance instance = two_job_instance();
+  Schedule schedule(2);
+  schedule.mark_dispatched(0, 0);
+  schedule.mark_started(0, 0.0, 1.0);
+  schedule.mark_completed(0, 2.0);  // needs 3.0
+  schedule.mark_dispatched(1, 0);   // left pending
+  const auto violations = validate_schedule(schedule, instance);
+  ASSERT_EQ(violations.size(), 2u);
+  EXPECT_EQ(violations[0],
+            "job 0 (completed): non-preemptive duration mismatch: ran 2, "
+            "needs 3");
+  EXPECT_EQ(violations[1], "job 1 (pending): left undecided at end of run");
+}
+
 TEST(Validator, CatchesMissedDeadline) {
   InstanceBuilder builder(1);
   builder.add_identical_job(0.0, 2.0, 1.0, /*deadline=*/3.0);

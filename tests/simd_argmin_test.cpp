@@ -1,10 +1,11 @@
 // Checks for the dispatch kernels (util/simd_argmin.hpp) against naive
 // loops, over rows that include the dispatch path's full value zoo:
 // ordinary positives, exact ties, denormals, 0.0, FLT_MAX, +inf, and
-// all-infinity rows. NaN and -0.0 are excluded BY CONTRACT (the dispatch
-// shadow rows never contain them). Values are compared by bit pattern,
-// indices exactly. The rotating OSCHED_FUZZ_SEED hook explores fresh rows
-// every CI run, reproducibly.
+// all-infinity rows, plus (for the double rows lb_fill rounds down) values
+// no float represents and values beyond FLT_MAX. NaN and -0.0 are excluded
+// BY CONTRACT (the dispatch rows never contain them). Values are compared
+// by bit pattern, indices exactly. The rotating OSCHED_FUZZ_SEED hook
+// explores fresh rows every CI run, reproducibly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 
 #include "fuzz_seed.hpp"
 #include "util/simd_argmin.hpp"
+#include "util/types.hpp"
 
 namespace osched::util {
 namespace {
@@ -56,13 +58,24 @@ float fuzz_value(std::mt19937_64& rng) {
   return 0.25f * static_cast<float>(rng() % 64 + 1);
 }
 
+/// A double p-row entry: the float zoo widened, plus doubles that round
+/// either way on conversion, a subnormal-range double and one past FLT_MAX.
+double fuzz_row_value(std::mt19937_64& rng) {
+  const std::uint64_t kind = rng() % 8;
+  if (kind == 0) return 1.0 + static_cast<double>(rng() % 1000) * 1e-9;
+  if (kind == 1) return 1e-300;
+  if (kind == 2) return 1e39;
+  return static_cast<double>(fuzz_value(rng));
+}
+
 TEST(SimdArgmin, LbFillMatchesNaiveLoop) {
   std::mt19937_64 rng(base_seed() + 1);
   for (const std::size_t m : kSizes) {
     for (int round = 0; round < 8; ++round) {
-      std::vector<float> row(m), pcm(m), pmp(m);
+      std::vector<double> row(m);
+      std::vector<float> pcm(m), pmp(m);
       for (std::size_t i = 0; i < m; ++i) {
-        row[i] = fuzz_value(rng);
+        row[i] = fuzz_row_value(rng);
         // pcm is a small count-like factor, pmp a size-like one.
         pcm[i] = static_cast<float>(rng() % 5);
         pmp[i] = fuzz_value(rng);
@@ -71,8 +84,9 @@ TEST(SimdArgmin, LbFillMatchesNaiveLoop) {
       std::vector<float> lb(m, -2.0f);
       simd::lb_fill(row.data(), pcm.data(), pmp.data(), coeff, lb.data(), m);
       for (std::size_t i = 0; i < m; ++i) {
-        const float product = pcm[i] * std::min(row[i], pmp[i]);
-        const float expected = row[i] * coeff + product;
+        const float p = float_lower(row[i]);
+        const float product = pcm[i] * std::min(p, pmp[i]);
+        const float expected = p * coeff + product;
         ASSERT_EQ(bits_of(lb[i]), bits_of(expected))
             << "m=" << m << " i=" << i << " row=" << row[i]
             << " pcm=" << pcm[i] << " pmp=" << pmp[i];

@@ -84,6 +84,41 @@ const api::Algorithm kAlgorithms[] = {
 
 // ------------------------------------------------------ dense == sparse
 
+/// Sum of |eligible_machines(j)| over the instance.
+std::size_t eligible_entries(const Instance& instance) {
+  std::size_t eligible = 0;
+  for (std::size_t j = 0; j < instance.num_jobs(); ++j) {
+    eligible += instance.eligible_machines(static_cast<JobId>(j)).size();
+  }
+  return eligible;
+}
+
+/// The exact byte relation between a one-block dense store and its CSR
+/// twin. CSR holds 12 bytes per eligible entry (double + int32 machine)
+/// plus n+1 uint32 offsets; dense holds 8 bytes per matrix entry plus the
+/// shared m-wide identity row, and the CSR-shaped adjacency only when some
+/// row is restricted. So a fully eligible matrix is cheaper dense, and a
+/// restricted one is cheaper as CSR.
+void expect_dense_and_csr_bytes(const Instance& dense, const Instance& csr) {
+  const std::size_t n = dense.num_jobs();
+  const std::size_t m = dense.num_machines();
+  const std::size_t eligible = eligible_entries(dense);
+  const std::size_t jobs = n * sizeof(Job);
+  const std::size_t offsets = (n + 1) * sizeof(std::uint32_t);
+  ASSERT_EQ(csr.store_bytes(),
+            jobs + eligible * (sizeof(Work) + sizeof(MachineId)) + offsets);
+  if (eligible == n * m) {
+    EXPECT_EQ(dense.store_bytes(),
+              jobs + n * m * sizeof(Work) + m * sizeof(MachineId));
+    EXPECT_GT(csr.store_bytes(), dense.store_bytes());
+  } else {
+    EXPECT_EQ(dense.store_bytes(), jobs + n * m * sizeof(Work) +
+                                       m * sizeof(MachineId) +
+                                       eligible * sizeof(MachineId) + offsets);
+    EXPECT_LT(csr.store_bytes(), dense.store_bytes());
+  }
+}
+
 TEST(StorageBackend, SparseMatchesDenseAcrossPoliciesDensitiesSeeds) {
   const double densities[] = {1.0, 0.5, 0.1};
   for (double density : densities) {
@@ -92,7 +127,7 @@ TEST(StorageBackend, SparseMatchesDenseAcrossPoliciesDensitiesSeeds) {
       const Instance dense = make_workload(density, seed, 500, 16);
       const Instance sparse = dense.with_backend(StorageBackend::kSparseCsr);
       ASSERT_EQ(sparse.backend(), StorageBackend::kSparseCsr);
-      ASSERT_LT(sparse.store_bytes(), dense.store_bytes() + 1);
+      expect_dense_and_csr_bytes(dense, sparse);
       for (api::Algorithm algorithm : kAlgorithms) {
         const std::string context = std::string(api::to_string(algorithm)) +
                                     " density=" + std::to_string(density) +
@@ -154,7 +189,7 @@ TEST(StorageBackend, GeneratorMatchesMaterializedBackends) {
   }
 }
 
-TEST(StorageBackend, GeneratorReaderServesRowsAndBounds) {
+TEST(StorageBackend, GeneratorReaderServesRows) {
   workload::ClosedFormConfig config;
   config.num_jobs = 64;
   config.num_machines = 11;
@@ -165,12 +200,10 @@ TEST(StorageBackend, GeneratorReaderServesRowsAndBounds) {
   for (std::size_t j = 0; j < config.num_jobs; ++j) {
     const auto job = static_cast<JobId>(j);
     const Work* row = view.processing_row(job);
-    const float* bounds = view.bounds_row(job);
     ASSERT_EQ(view.eligible_machines(job).size(), config.num_machines);
     for (std::size_t i = 0; i < config.num_machines; ++i) {
       EXPECT_EQ(row[i], workload::closed_form_entry(config, job,
                                                     static_cast<MachineId>(i)));
-      EXPECT_EQ(bounds[i], float_lower(row[i]));
     }
   }
 }
@@ -381,21 +414,26 @@ TEST(StorageBackend, DispatchIndexFlagIsFalseOnEveryBackend) {
 }
 
 TEST(StorageBackend, DenseStoreBytesAreExactlyItsTables) {
-  // Dense footprint = job records + n×m doubles + the n×m float shadow +
-  // one int32 per eligible entry + n+1 uint32 offsets (one block), and
+  // Restricted: job records + n×m doubles + the shared m-wide identity row
+  // + one int32 per eligible entry + n+1 uint32 offsets (one block), and
   // nothing else.
-  const Instance dense = make_workload(0.4, base_seed() + 71, 150, 9);
-  const std::size_t n = dense.num_jobs();
-  const std::size_t m = dense.num_machines();
-  std::size_t eligible = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    eligible += dense.eligible_machines(static_cast<JobId>(j)).size();
-  }
+  const Instance restricted = make_workload(0.4, base_seed() + 71, 150, 9);
+  std::size_t n = restricted.num_jobs();
+  std::size_t m = restricted.num_machines();
+  const std::size_t eligible = eligible_entries(restricted);
   ASSERT_LT(eligible, n * m);  // restricted: the adjacency is not n×m
-  EXPECT_EQ(dense.store_bytes(),
-            n * sizeof(Job) + n * m * sizeof(Work) + n * m * sizeof(float) +
+  EXPECT_EQ(restricted.store_bytes(),
+            n * sizeof(Job) + n * m * sizeof(Work) + m * sizeof(MachineId) +
                 eligible * sizeof(MachineId) +
                 (n + 1) * sizeof(std::uint32_t));
+
+  // Fully eligible: no adjacency at all, every row reads the identity row.
+  const Instance full = make_workload(1.0, base_seed() + 72, 150, 9);
+  n = full.num_jobs();
+  m = full.num_machines();
+  ASSERT_EQ(eligible_entries(full), n * m);
+  EXPECT_EQ(full.store_bytes(),
+            n * sizeof(Job) + n * m * sizeof(Work) + m * sizeof(MachineId));
 }
 
 TEST(StorageBackend, SharedConstInstanceRunsIdenticallyOnFourThreads) {

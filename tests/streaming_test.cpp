@@ -606,8 +606,6 @@ TEST(StreamingSession, StoreBackendsServeIdenticalDataAndCollapseBytes) {
     const Work* sparse_values = sparse.csr_values(j);
     const Work* dense_row = dense_rows.processing_row(j);
     const Work* sparse_row = sparse_rows.processing_row(j);
-    const float* dense_bounds = dense_rows.bounds_row(j);
-    const float* sparse_bounds = sparse_rows.bounds_row(j);
     for (std::size_t i = 0; i < 8; ++i) {
       const auto machine = static_cast<MachineId>(i);
       const Work p = dense.processing_unchecked(machine, j);
@@ -615,7 +613,6 @@ TEST(StreamingSession, StoreBackendsServeIdenticalDataAndCollapseBytes) {
       EXPECT_EQ(p, generated.processing_unchecked(machine, j));
       EXPECT_EQ(p, sparse_values[i]);  // fully eligible: CSR row is dense
       EXPECT_EQ(dense_row[i], sparse_row[i]);
-      EXPECT_EQ(dense_bounds[i], sparse_bounds[i]);
     }
     const Work* generated_row = generated_rows.processing_row(j);
     for (std::size_t i = 0; i < 8; ++i) {
@@ -658,6 +655,80 @@ TEST(StreamingSession, StoreBackendsServeIdenticalDataAndCollapseBytes) {
             wide_dense.matrix_peak_bytes() / 2)
       << "sparse " << wide_sparse.matrix_peak_bytes() << " vs dense "
       << wide_dense.matrix_peak_bytes();
+}
+
+/// The mixed-form feed of DenseAdjacencyEncodingMatchesCsrTwin: full dense
+/// rows, then (mid-block) a dense row with two ineligible machines, a
+/// sparse submission omitting one machine and a sparse submission naming
+/// every machine, then full dense rows again with every 37th one partial.
+std::vector<StreamJob> mixed_form_feed(const Instance& instance) {
+  std::vector<StreamJob> feed(instance.num_jobs());
+  const std::size_t m = instance.num_machines();
+  for (std::size_t idx = 0; idx < feed.size(); ++idx) {
+    StreamJob& job = feed[idx];
+    fill_stream_job(instance, static_cast<JobId>(idx), 0.0, &job);
+    if (idx == 150 || (idx > 152 && idx % 37 == 0)) {
+      job.processing[1] = kTimeInfinity;
+      job.processing[m - 2] = kTimeInfinity;
+    } else if (idx == 151 || idx == 152) {
+      for (std::size_t i = 0; i < m; ++i) {
+        if (idx == 152 || i != 3) {
+          job.entries.push_back(
+              SparseEntry{static_cast<MachineId>(i), job.processing[i]});
+        }
+      }
+      job.processing.clear();
+    }
+  }
+  return feed;
+}
+
+TEST(StreamingSession, DenseAdjacencyEncodingMatchesCsrTwin) {
+  // A dense block keeps no adjacency while every row is fully eligible and
+  // materializes it at its first partial row. Whatever the ingest form, a
+  // dense store must serve the same eligible_machines as its CSR twin and
+  // a dense session must decide exactly as a CSR session.
+  const Instance instance =
+      make_workload(Family::kDense, base_seed() + 91, 300, 8);
+  const std::vector<StreamJob> feed = mixed_form_feed(instance);
+
+  // Store level, with 16-job blocks: the partial row at 150 sits mid-block
+  // (offset 6 of block 9), and later blocks start over without adjacency.
+  JobStore dense(8, /*jobs_per_block=*/16);
+  JobStore csr(8, 16, StorageBackend::kSparseCsr);
+  for (const StreamJob& job : feed) {
+    dense.append(job);
+    csr.append(job);
+  }
+  for (std::size_t idx = 0; idx < feed.size(); ++idx) {
+    const auto j = static_cast<JobId>(idx);
+    const EligibleMachines a = dense.eligible_machines(j);
+    const EligibleMachines b = csr.eligible_machines(j);
+    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+        << "job " << j;
+    for (std::size_t i = 0; i < 8; ++i) {
+      const auto machine = static_cast<MachineId>(i);
+      ASSERT_EQ(dense.processing_unchecked(machine, j),
+                csr.processing_unchecked(machine, j))
+          << "job " << j << " machine " << i;
+    }
+  }
+  EXPECT_EQ(dense.eligible_machines(151).size(), 7u);
+  EXPECT_EQ(dense.eligible_machines(152).size(), 8u);
+
+  // Session level (one 4096-job block): every algorithm, bit for bit.
+  for (const api::Algorithm algorithm : kStreamable) {
+    service::SchedulerSession dense_session(algorithm, 8);
+    service::SchedulerSession csr_session(
+        algorithm, 8, backend_options(StorageBackend::kSparseCsr));
+    for (const StreamJob& job : feed) {
+      dense_session.submit(job);
+      csr_session.submit(job);
+    }
+    expect_bit_identical(csr_session.drain(), dense_session.drain(),
+                         std::string(api::to_string(algorithm)) +
+                             " dense vs csr session");
+  }
 }
 
 TEST(ShardDriver, ThreadCountNeverChangesAnyTenantsOutcome) {
