@@ -64,6 +64,9 @@ inline std::uint64_t fnv1a64(const void* data, std::size_t size) {
 /// FNV-1a trailer; the writer is spent afterwards.
 class CheckpointWriter {
  public:
+  /// Pre-sizes the buffer for a blob of `size` bytes (checksum trailer
+  /// included), so a writer whose total is known up front never regrows.
+  void reserve(std::size_t size) { buffer_.reserve(size); }
   void bytes(const void* data, std::size_t size) {
     buffer_.append(static_cast<const char*>(data), size);
   }
@@ -147,6 +150,19 @@ class CheckpointReader {
     return value;
   }
   void bytes(void* out, std::size_t size) { read(out, size); }
+  /// The next `size` bytes as a view into the blob — no copy. Past the
+  /// trailer it latches the same truncation failure as every other read
+  /// and returns an empty view.
+  std::string_view view(std::size_t size) {
+    if (!ok()) return {};
+    if (remaining() < size) {
+      fail("checkpoint truncated: field extends past the blob");
+      return {};
+    }
+    const std::string_view out(blob_.data() + pos_, size);
+    pos_ += size;
+    return out;
+  }
   std::uint32_t u32() { return get_le<std::uint32_t>(); }
   std::uint64_t u64() { return get_le<std::uint64_t>(); }
   double f64() {
@@ -158,13 +174,12 @@ class CheckpointReader {
 
  private:
   void read(void* out, std::size_t size) {
-    if (!ok()) return;
-    if (remaining() < size) {
+    const std::string_view in = view(size);
+    if (in.size() != size) {
       std::memset(out, 0, size);
-      return fail("checkpoint truncated: field extends past the blob");
+      return;
     }
-    std::memcpy(out, blob_.data() + pos_, size);
-    pos_ += size;
+    std::memcpy(out, in.data(), size);
   }
 
   template <class T>

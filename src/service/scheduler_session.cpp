@@ -189,6 +189,11 @@ class SchedulerSession::Impl {
   std::size_t matrix_peak_bytes() const { return store_.matrix_peak_bytes(); }
   bool drained() const { return drained_; }
 
+  /// Allocation-free form of validate_job: true iff it would return "".
+  bool job_ok(const StreamJob& job) const {
+    return !drained_ && store_.job_ok(job) && !(job.release < now_);
+  }
+
   std::string validate_job(const StreamJob& job) const {
     if (drained_) return "session already drained; ";
     std::string problems = store_.validate_job(job);
@@ -209,7 +214,10 @@ class SchedulerSession::Impl {
     return id;
   }
 
-  SubmitOutcome try_submit(const StreamJob& job, JobId* id_out) {
+  /// `checked`: the caller already ran job_ok on this job (the replay
+  /// gate), so the store appends it without testing the predicate again.
+  SubmitOutcome try_submit(const StreamJob& job, JobId* id_out,
+                           bool checked = false) {
     OSCHED_CHECK(!drained_) << "submit() on a drained session";
     OSCHED_CHECK_GE(job.release, now_)
         << "job released at " << job.release
@@ -225,7 +233,7 @@ class SchedulerSession::Impl {
       ++backpressured_;
       return SubmitOutcome::kBackpressure;
     }
-    const JobId j = store_.append(job);
+    const JobId j = checked ? store_.append_trusted(job) : store_.append(job);
     total_weight_ += job.weight;
     records_.ensure_size(static_cast<std::size_t>(j) + 1);
     now_ = std::max(now_, job.release);
@@ -851,16 +859,18 @@ std::unique_ptr<SchedulerSession> SchedulerSession::restore(
         break;  // metadata only; the store synthesizes the row
     }
     if (!r.ok()) return fail(r.error());
-    const std::string problems = session->validate_job(job);
-    if (!problems.empty()) {
+    // The allocation-free gate; the message is built only for a failure.
+    Impl& impl = *session->impl_;
+    if (!impl.job_ok(job)) {
       return fail("checkpoint job " + std::to_string(idx) +
-                  " fails replay validation: " + problems);
+                  " fails replay validation: " + impl.validate_job(job));
     }
     // Every journaled job was accepted by the original session, and the
     // shed sequence is a deterministic function of the accepted arrivals —
     // so a faithful blob cannot backpressure here. A refusal means the
     // window fields are inconsistent with the journal (forged or damaged).
-    if (session->try_submit(job) == SubmitOutcome::kBackpressure) {
+    if (impl.try_submit(job, nullptr, /*checked=*/true) ==
+        SubmitOutcome::kBackpressure) {
       return fail("checkpoint corrupted: replayed job " + std::to_string(idx) +
                   " hit backpressure (overload fields inconsistent with the "
                   "journal)");

@@ -76,7 +76,7 @@ void ShardDriver::start_workers(std::size_t threads) {
   }
 }
 
-ShardDriver::~ShardDriver() {
+void ShardDriver::stop_workers() {
   for (auto& worker : workers_) {
     {
       std::lock_guard<std::mutex> lock(worker->mutex);
@@ -85,7 +85,10 @@ ShardDriver::~ShardDriver() {
     worker->cv.notify_one();
   }
   for (auto& worker : workers_) worker->thread.join();
+  workers_.clear();
 }
+
+ShardDriver::~ShardDriver() { stop_workers(); }
 
 std::size_t ShardDriver::shard_for(std::uint64_t tenant_key) const {
   return util::derive_seed(0x5AA5D000D15EA5EULL, tenant_key) % shards_.size();
@@ -210,9 +213,8 @@ void ShardDriver::flush() {
     Shard& shard = *shards_[s];
     if (shard.staging.empty()) continue;
     shard.max_batch_ops = std::max(shard.max_batch_ops, shard.staging.size());
-    shard.inbox.push(std::move(shard.staging));
+    post(shard, std::move(shard.staging));
     shard.staging.clear();
-    shard.batches_submitted.fetch_add(1, std::memory_order_release);
     wake_worker[s % workers] = true;
   }
   for (std::size_t w = 0; w < workers; ++w) {
@@ -240,23 +242,36 @@ void ShardDriver::pump() {
   sync();
 }
 
+void ShardDriver::post(Shard& shard, std::vector<Op> batch) {
+  shard.inbox.push(std::move(batch));
+  shard.batches_submitted.fetch_add(1, std::memory_order_release);
+}
+
+void ShardDriver::run_on_owners(Op::Kind kind,
+                                std::span<const std::string_view> blobs) {
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    Op op;
+    op.kind = kind;
+    if (!blobs.empty()) op.blob = blobs[s];
+    if (inline_mode()) {
+      apply(*shards_[s], op);
+      continue;
+    }
+    // Straight to the inbox, not through staging: a whole-fleet op is no
+    // flush round (no DRR credit, no batch-size telemetry).
+    std::vector<Op> batch;
+    batch.push_back(std::move(op));
+    post(*shards_[s], std::move(batch));
+  }
+  for (auto& worker : workers_) wake(*worker);
+  sync();
+}
+
 std::vector<api::RunSummary> ShardDriver::drain_all() {
   pump();
+  // The heavy run-to-quiescence work happens on the workers, in parallel.
+  run_on_owners(Op::Kind::kDrain);
   std::vector<api::RunSummary> results(shards_.size());
-  if (inline_mode()) {
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      results[s] = shards_[s]->session->drain();
-    }
-    return results;
-  }
-  // Drain as one more per-shard op, so the heavy run-to-quiescence work
-  // happens on the workers, in parallel.
-  for (auto& shard : shards_) {
-    Op op;
-    op.kind = Op::Kind::kDrain;
-    shard->staging.push_back(std::move(op));
-  }
-  pump();
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     OSCHED_CHECK(shards_[s]->drained) << "shard " << s << " did not drain";
     results[s] = std::move(shards_[s]->drain_result);
@@ -266,14 +281,26 @@ std::vector<api::RunSummary> ShardDriver::drain_all() {
 
 std::string ShardDriver::checkpoint() {
   pump();  // every staged/handed-off op is applied; sessions are quiescent
-  CheckpointWriter w;
-  w.bytes(kDriverCheckpointMagic, sizeof(kDriverCheckpointMagic));
-  w.u32(kCheckpointVersion);
-  w.u64(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     OSCHED_CHECK(!shards_[s]->drained)
         << "checkpoint() after shard " << s << " drained";
-    const std::string blob = shards_[s]->session->checkpoint();
+  }
+  run_on_owners(Op::Kind::kCheckpoint);
+  // Frame the per-shard blobs in shard order into one buffer sized exactly
+  // up front: header, a length prefix per shard, the checksum trailer.
+  std::size_t total = sizeof(kDriverCheckpointMagic) + sizeof(std::uint32_t) +
+                      2 * sizeof(std::uint64_t);
+  for (const auto& shard : shards_) {
+    total += sizeof(std::uint64_t) + shard->checkpoint_blob.size();
+  }
+  CheckpointWriter w;
+  w.reserve(total);
+  w.bytes(kDriverCheckpointMagic, sizeof(kDriverCheckpointMagic));
+  w.u32(kCheckpointVersion);
+  w.u64(shards_.size());
+  for (auto& shard : shards_) {
+    // Moved out, so each shard's copy is freed once it is framed.
+    const std::string blob = std::move(shard->checkpoint_blob);
     w.u64(blob.size());
     w.bytes(blob.data(), blob.size());
   }
@@ -288,6 +315,8 @@ std::unique_ptr<ShardDriver> ShardDriver::restore(
     return nullptr;
   };
 
+  // The whole container is checked on this thread before any shard
+  // replays: magic, version and checksum first, then the framing.
   CheckpointReader r(blob);
   r.open(kDriverCheckpointMagic, "shard-driver");
   if (!r.ok()) return fail(r.error());
@@ -309,34 +338,55 @@ std::unique_ptr<ShardDriver> ShardDriver::restore(
   if (num_shards > r.remaining() / 8) {
     return fail("checkpoint corrupted: shard count exceeds blob size");
   }
+  // A framing error stops the walk but is reported only after the shards
+  // before it replay: the serial order of diagnostics is "lowest-indexed
+  // shard whose framing or replay fails", and the trailer check comes last.
+  std::vector<std::string_view> session_blobs;
+  session_blobs.reserve(static_cast<std::size_t>(num_shards));
+  std::string framing_error;
+  for (std::uint64_t s = 0; s < num_shards; ++s) {
+    const std::uint64_t size = r.u64();
+    if (!r.ok()) {
+      framing_error = r.error();
+      break;
+    }
+    if (size > r.remaining()) {
+      framing_error = "checkpoint truncated: shard " + std::to_string(s) +
+                      " blob extends past the checkpoint";
+      break;
+    }
+    session_blobs.push_back(r.view(static_cast<std::size_t>(size)));
+    OSCHED_CHECK(r.ok()) << r.error();  // size was just checked
+  }
+  if (framing_error.empty() && r.remaining() != 0) {
+    framing_error = "checkpoint corrupted: " + std::to_string(r.remaining()) +
+                    " trailing bytes after the last shard";
+  }
+  if (session_blobs.empty()) return fail(framing_error);
 
   // Private default ctor: make_unique cannot reach it.
   std::unique_ptr<ShardDriver> driver(new ShardDriver());
-  driver->shards_.reserve(static_cast<std::size_t>(num_shards));
-  for (std::uint64_t s = 0; s < num_shards; ++s) {
-    const std::uint64_t size = r.u64();
-    if (!r.ok()) return fail(r.error());
-    if (size > r.remaining()) {
-      return fail("checkpoint truncated: shard " + std::to_string(s) +
-                  " blob extends past the checkpoint");
-    }
-    std::string session_blob(static_cast<std::size_t>(size), '\0');
-    r.bytes(session_blob.data(), session_blob.size());
-    OSCHED_CHECK(r.ok()) << r.error();  // size was just checked
-    std::string session_error;
-    auto session =
-        SchedulerSession::restore(session_blob, &session_error, generator);
-    if (session == nullptr) {
-      return fail("shard " + std::to_string(s) + ": " + session_error);
-    }
-    auto shard = std::make_unique<Shard>();
-    shard->session = std::move(session);
-    driver->shards_.push_back(std::move(shard));
+  driver->shards_.reserve(session_blobs.size());
+  for (std::size_t s = 0; s < session_blobs.size(); ++s) {
+    driver->shards_.push_back(std::make_unique<Shard>());
   }
-  if (r.remaining() != 0) {
-    return fail("checkpoint corrupted: " + std::to_string(r.remaining()) +
-                " trailing bytes after the last shard");
+  driver->start_workers(threads);
+  driver->restore_generator_ = std::move(generator);
+  driver->run_on_owners(Op::Kind::kRestore, session_blobs);
+  driver->restore_generator_.reset();
+  for (std::size_t s = 0; s < driver->shards_.size(); ++s) {
+    const Shard& shard = *driver->shards_[s];
+    if (shard.session == nullptr) {
+      return fail("shard " + std::to_string(s) + ": " + shard.restore_error);
+    }
   }
+  if (!framing_error.empty()) return fail(framing_error);
+  // The replay pool is retired and a fresh one serves. With glibc a thread
+  // keeps the malloc arena of its first allocation; fresh workers pick
+  // theirs when they first run, after restore() returns, so they reuse
+  // what the caller frees by then (typically the driver this one
+  // replaces) instead of growing the arenas the replay filled.
+  driver->stop_workers();
   driver->start_workers(threads);
   if (error != nullptr) error->clear();
   return driver;
@@ -353,6 +403,13 @@ void ShardDriver::apply(Shard& shard, Op& op) const {
     case Op::Kind::kDrain:
       shard.drain_result = shard.session->drain();
       shard.drained = true;
+      break;
+    case Op::Kind::kCheckpoint:
+      shard.checkpoint_blob = shard.session->checkpoint();
+      break;
+    case Op::Kind::kRestore:
+      shard.session = SchedulerSession::restore(
+          op.blob, &shard.restore_error, restore_generator_);
       break;
   }
 }

@@ -18,7 +18,10 @@
 // sleep on their own condition variable when their inboxes are empty — no
 // shared task queue, no per-chunk std::function allocation, no global
 // mutex on the submission path. Shard state is cache-line-aligned so two
-// workers never false-share a shard.
+// workers never false-share a shard. Whole-fleet work — drain_all(),
+// checkpoint() serialization and restore() replay — runs the same way: one
+// op per shard, posted to its owner, so `threads` also sets how many
+// shards drain, serialize or replay at once, and never the result.
 //
 // When one worker (or fewer) would remain — notably on single-core hosts —
 // the driver runs INLINE: operations apply directly on the calling thread
@@ -36,6 +39,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -188,8 +192,10 @@ class ShardDriver {
 
   /// pump()s the backlog, then serializes every shard's session into one
   /// versioned, checksummed blob (format: service/checkpoint.hpp; spec:
-  /// docs/ARCHITECTURE.md). Requires undrained, retain_records sessions.
-  /// The driver is untouched and remains usable.
+  /// docs/ARCHITECTURE.md). Each session serializes on its owning worker,
+  /// in parallel; the caller frames the results in shard order, so the
+  /// bytes do not depend on the worker count. Requires undrained,
+  /// retain_records sessions. The driver is untouched and remains usable.
   std::string checkpoint();
 
   /// Rebuilds a driver (and every tenant session, bit-identically — see
@@ -199,17 +205,25 @@ class ShardDriver {
   /// generator-backed, `generator` supplies the shared closed
   /// form, exactly as for SchedulerSession::restore — one form for the
   /// whole fleet, matching how SessionOptions applies to every shard.
-  /// Damaged input returns nullptr with a diagnostic in *error.
+  /// The container's magic, version, checksum and framing are checked on
+  /// the calling thread before any shard replays; then every shard replays
+  /// on its owning worker, so `threads` sets how many replay at once.
+  /// Damaged input returns nullptr with a diagnostic in *error: the one of
+  /// the lowest-indexed shard whose framing or replay fails, whatever the
+  /// worker count.
   static std::unique_ptr<ShardDriver> restore(
       std::string_view blob, std::size_t threads, std::string* error,
       std::shared_ptr<const RowGenerator> generator = nullptr);
 
  private:
   struct Op {
-    enum class Kind : std::uint8_t { kSubmit, kAdvance, kDrain };
+    enum class Kind : std::uint8_t {
+      kSubmit, kAdvance, kDrain, kCheckpoint, kRestore
+    };
     Kind kind = Kind::kSubmit;
     Time to = 0.0;
     StreamJob job;
+    std::string_view blob;  ///< kRestore: the shard's session blob
   };
 
   /// Cache-line-aligned so two workers (and the producer) never false-share
@@ -221,6 +235,8 @@ class ShardDriver {
     std::atomic<std::uint64_t> batches_submitted{0};
     std::atomic<std::uint64_t> batches_done{0};
     api::RunSummary drain_result;         ///< written by the drain op
+    std::string checkpoint_blob;          ///< written by the checkpoint op
+    std::string restore_error;            ///< written by a failed restore op
     bool drained = false;
     // Producer-owned fairness/telemetry state (single-producer contract:
     // only the staging thread reads or writes these).
@@ -246,9 +262,18 @@ class ShardDriver {
   /// Spins up the worker pool (or selects inline mode) over the already
   /// populated shards_ — the shared tail of both construction paths.
   void start_workers(std::size_t threads);
+  /// Stops and joins every worker; the driver is worker-less afterwards.
+  void stop_workers();
 
   bool inline_mode() const { return workers_.empty(); }
   bool at_inflight_cap(const Shard& s) const;
+  /// Hands one batch to the shard's owning worker (the caller wakes it).
+  void post(Shard& shard, std::vector<Op> batch);
+  /// Runs one `kind` op per shard on its owning worker and waits for all
+  /// of them; in inline mode the same ops apply on the calling thread, in
+  /// shard order. `blobs`, when non-empty, gives shard s's op blobs[s].
+  void run_on_owners(Op::Kind kind,
+                     std::span<const std::string_view> blobs = {});
   void apply(Shard& shard, Op& op) const;
   void worker_loop(Worker& worker);
   void wake(Worker& worker);
@@ -261,6 +286,8 @@ class ShardDriver {
   std::vector<std::unique_ptr<Worker>> workers_;
   std::size_t max_inflight_ = 0;  ///< ShardDriverOptions::max_inflight_batches
   std::size_t fair_quantum_ = 0;  ///< ShardDriverOptions::fair_quantum
+  /// The closed form restore() hands every kRestore op; empty otherwise.
+  std::shared_ptr<const RowGenerator> restore_generator_;
   std::mutex sync_mutex_;
   std::condition_variable sync_cv_;
 };

@@ -533,43 +533,44 @@ TEST(Checkpoint, CompactBackendBlobTruncationIsDiagnosedNotUB) {
   }
 }
 
+/// A forged session checkpoint's header through the overload fields, then
+/// `backend`, then the shed policy and adaptive cap (tuning off), for a
+/// 1-machine kGreedySpt session. Callers append the clock and the journal.
+void begin_forged_session(service::CheckpointWriter& w, std::uint8_t backend) {
+  w.bytes(service::kSessionCheckpointMagic, 8);
+  w.u32(service::kCheckpointVersion);
+  w.u32(static_cast<std::uint32_t>(api::Algorithm::kGreedySpt));
+  w.u64(1);     // machines
+  w.f64(0.2);   // epsilon
+  w.f64(2.0);   // alpha
+  w.u64(8);     // speed_levels
+  w.f64(0.5);   // start_grid
+  w.u8(0);      // validate off
+  w.u64(0);     // no fleet events
+  w.u64(0);     // initially_down
+  w.u64(0);     // rejection_budget
+  w.u8(1);      // shed_killed_running
+  w.u64(8192);  // retire_batch
+  w.u64(0);     // live_window_cap
+  w.u64(0);     // shed_budget
+  w.u8(backend);
+  w.u8(0);      // shed policy: fixed budget
+  w.u8(0);      // adaptive cap disabled
+  w.u64(0);
+  w.u64(0);
+  w.f64(0.0);
+  w.f64(0.0);
+  w.u64(0);
+}
+
 TEST(Checkpoint, ForgedBackendFieldsAreDiagnosed) {
   using service::CheckpointWriter;
-  // The header through the overload fields, then `backend`, then the shed
-  // policy and adaptive cap (tuning off), for a 1-machine kGreedySpt
-  // session — each case below appends a differently damaged tail.
-  const auto begin = [](CheckpointWriter& w, std::uint8_t backend) {
-    w.bytes(service::kSessionCheckpointMagic, 8);
-    w.u32(service::kCheckpointVersion);
-    w.u32(static_cast<std::uint32_t>(api::Algorithm::kGreedySpt));
-    w.u64(1);     // machines
-    w.f64(0.2);   // epsilon
-    w.f64(2.0);   // alpha
-    w.u64(8);     // speed_levels
-    w.f64(0.5);   // start_grid
-    w.u8(0);      // validate off
-    w.u64(0);     // no fleet events
-    w.u64(0);     // initially_down
-    w.u64(0);     // rejection_budget
-    w.u8(1);      // shed_killed_running
-    w.u64(8192);  // retire_batch
-    w.u64(0);     // live_window_cap
-    w.u64(0);     // shed_budget
-    w.u8(backend);
-    w.u8(0);      // shed policy: fixed budget
-    w.u8(0);      // adaptive cap disabled
-    w.u64(0);
-    w.u64(0);
-    w.f64(0.0);
-    w.f64(0.0);
-    w.u64(0);
-  };
-
+  // Each case below appends a differently damaged tail to the forged header.
   std::string error;
   {
     // A backend id the trio does not name.
     CheckpointWriter w;
-    begin(w, 7);  // forged backend
+    begin_forged_session(w, 7);  // forged backend
     w.f64(0.0);  // clock
     w.u64(0);    // no jobs
     EXPECT_EQ(service::SchedulerSession::restore(w.finish(), &error), nullptr);
@@ -580,7 +581,8 @@ TEST(Checkpoint, ForgedBackendFieldsAreDiagnosed) {
     // A sparse job declaring more entries than the blob holds: the count is
     // bounds-checked before any allocation or read.
     CheckpointWriter w;
-    begin(w, static_cast<std::uint8_t>(StorageBackend::kSparseCsr));
+    begin_forged_session(
+        w, static_cast<std::uint8_t>(StorageBackend::kSparseCsr));
     w.f64(0.0);  // clock
     w.u64(1);    // one journaled job
     w.f64(0.0);            // release
@@ -598,7 +600,8 @@ TEST(Checkpoint, ForgedBackendFieldsAreDiagnosed) {
     // A dense journal is fixed-stride, so surplus bytes are caught by the
     // up-front size check.
     CheckpointWriter w;
-    begin(w, static_cast<std::uint8_t>(StorageBackend::kDense));
+    begin_forged_session(
+        w, static_cast<std::uint8_t>(StorageBackend::kDense));
     w.f64(0.0);  // clock
     w.u64(1);    // one journaled job
     w.f64(0.0);            // release
@@ -614,7 +617,8 @@ TEST(Checkpoint, ForgedBackendFieldsAreDiagnosed) {
     // The sparse journal's stride is data-dependent, so its surplus check
     // runs after replay: bytes left over are damage, not padding.
     CheckpointWriter w;
-    begin(w, static_cast<std::uint8_t>(StorageBackend::kSparseCsr));
+    begin_forged_session(
+        w, static_cast<std::uint8_t>(StorageBackend::kSparseCsr));
     w.f64(0.0);  // clock
     w.u64(1);    // one journaled job
     w.f64(0.0);            // release
@@ -684,20 +688,39 @@ TEST(ShardDriverCheckpoint, RoundTripAcrossThreadCounts) {
 }
 
 TEST(ShardDriverCheckpoint, DamagedContainerIsDiagnosed) {
-  service::ShardDriver driver(api::Algorithm::kGreedySpt, 2, 2);
+  // Every truncation and every single-byte flip of a 3-shard container is
+  // refused with the same diagnostic inline and under a pooled restore.
+  constexpr std::size_t kShards = 3;
+  const Instance instance = make_workload(base_seed() + 90, 6, 2);
+  service::ShardDriver driver(api::Algorithm::kTheorem1, kShards, 2);
+  for (std::size_t s = 0; s < kShards; ++s) {
+    for (std::size_t k = 0; k < instance.num_jobs(); ++k) {
+      driver.submit(s, make_stream_job(instance, static_cast<JobId>(k)));
+    }
+  }
   const std::string blob = driver.checkpoint();
 
-  std::string error;
-  for (const std::size_t len :
-       {std::size_t{0}, std::size_t{7}, blob.size() / 2, blob.size() - 1}) {
-    EXPECT_EQ(service::ShardDriver::restore(
-                  std::string_view(blob.data(), len), 1, &error),
-              nullptr)
-        << len;
-    EXPECT_FALSE(error.empty());
+  const auto diagnose = [](std::string_view damaged, std::size_t threads) {
+    std::string error;
+    const auto restored = service::ShardDriver::restore(damaged, threads,
+                                                        &error);
+    EXPECT_EQ(restored, nullptr) << "damaged container restored";
+    EXPECT_FALSE(error.empty()) << "no diagnostic";
+    return error;
+  };
+  for (std::size_t len = 0; len < blob.size(); ++len) {
+    const std::string_view prefix(blob.data(), len);
+    EXPECT_EQ(diagnose(prefix, 1), diagnose(prefix, 4)) << "prefix " << len;
+  }
+  std::string damaged = blob;
+  for (std::size_t at = 0; at < blob.size(); ++at) {
+    damaged[at] = static_cast<char>(damaged[at] ^ 0x5a);
+    EXPECT_EQ(diagnose(damaged, 1), diagnose(damaged, 4)) << "byte " << at;
+    damaged[at] = blob[at];
   }
 
   // A session blob is not a driver blob (and vice versa).
+  std::string error;
   service::SchedulerSession session(api::Algorithm::kGreedySpt, 2);
   EXPECT_EQ(service::ShardDriver::restore(session.checkpoint(), 1, &error),
             nullptr);
@@ -765,6 +788,175 @@ TEST(ShardDriverCheckpoint, GeneratorFleetRestoresWithOneSharedForm) {
     expect_identical(reference, a[s], "original shard " + std::to_string(s));
     expect_identical(reference, b[s], "restored shard " + std::to_string(s));
   }
+}
+
+
+TEST(ShardDriverCheckpoint, BlobIsByteIdenticalAcrossWorkerCounts) {
+  // Sessions serialize on their owning workers, but the container is framed
+  // in shard order: the same feed must give the same bytes at every worker
+  // count, and each blob restored at another count must drain identically.
+  constexpr std::size_t kShards = 4;
+  constexpr std::size_t kMachines = 4;
+  std::vector<Instance> tenants;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    tenants.push_back(make_workload(base_seed() + 80 + s, 160, kMachines));
+  }
+  const auto feed_driver = [&](service::ShardDriver& driver, std::size_t from,
+                               std::size_t to) {
+    for (std::size_t s = 0; s < kShards; ++s) {
+      for (std::size_t k = from; k < to; ++k) {
+        driver.submit(s, make_stream_job(tenants[s], static_cast<JobId>(k)));
+      }
+    }
+    driver.pump();
+  };
+
+  const std::size_t threads[] = {1, 2, 4};
+  std::vector<std::string> blobs;
+  for (const std::size_t t : threads) {
+    service::ShardDriverOptions options;
+    options.threads = t;
+    service::ShardDriver driver(api::Algorithm::kTheorem1, kShards, kMachines,
+                                options);
+    feed_driver(driver, 0, 80);
+    blobs.push_back(driver.checkpoint());
+  }
+  EXPECT_EQ(blobs[0], blobs[1]) << "threads 1 vs 2";
+  EXPECT_EQ(blobs[0], blobs[2]) << "threads 1 vs 4";
+
+  std::vector<std::vector<api::RunSummary>> drained;
+  for (std::size_t k = 0; k < blobs.size(); ++k) {
+    // Restore each blob at a different count than the one that wrote it.
+    const std::size_t restore_threads = threads[(k + 1) % blobs.size()];
+    std::string error;
+    auto restored =
+        service::ShardDriver::restore(blobs[k], restore_threads, &error);
+    ASSERT_NE(restored, nullptr) << error;
+    feed_driver(*restored, 80, 160);
+    drained.push_back(restored->drain_all());
+  }
+  for (std::size_t k = 1; k < drained.size(); ++k) {
+    ASSERT_EQ(drained[k].size(), kShards);
+    for (std::size_t s = 0; s < kShards; ++s) {
+      expect_identical(drained[0][s], drained[k][s],
+                       "blob " + std::to_string(k) + " shard " +
+                           std::to_string(s));
+    }
+  }
+}
+
+/// A driver container's header declaring `declared` shards, then the framed
+/// `sessions`; the caller may append more bytes before finish(), which seals
+/// it with a valid checksum whatever the bytes hold.
+service::CheckpointWriter driver_container(
+    const std::vector<std::string>& sessions, std::size_t declared) {
+  service::CheckpointWriter w;
+  w.bytes(service::kDriverCheckpointMagic, 8);
+  w.u32(service::kCheckpointVersion);
+  w.u64(declared);
+  for (const std::string& session : sessions) {
+    w.u64(session.size());
+    w.bytes(session.data(), session.size());
+  }
+  return w;
+}
+
+std::string frame_driver_blob(const std::vector<std::string>& sessions) {
+  return driver_container(sessions, sessions.size()).finish();
+}
+
+TEST(ShardDriverCheckpoint, LowestFailingShardIsReportedAtEveryWorkerCount) {
+  // Containers with valid checksums around bad session blobs: every shard
+  // replays before any result is read, and the report must still be the
+  // serial one — the lowest-indexed shard whose framing or replay fails.
+  service::SchedulerSession good_session(api::Algorithm::kGreedySpt, 1);
+  const std::string good = good_session.checkpoint();
+  // A session blob whose journal fails replay validation: its second job's
+  // release precedes the first's.
+  service::CheckpointWriter forged;
+  begin_forged_session(forged,
+                       static_cast<std::uint8_t>(StorageBackend::kDense));
+  forged.f64(1.0);  // clock
+  forged.u64(2);    // two journaled jobs
+  for (const double release : {1.0, 0.5}) {
+    forged.f64(release);
+    forged.f64(1.0);            // weight
+    forged.f64(kTimeInfinity);  // deadline
+    forged.f64(1.0);            // the 1-machine processing row
+  }
+  const std::string replay_fails = forged.finish();
+  const std::string replay_error =
+      "shard 1: checkpoint job 1 fails replay validation: release 0.5 "
+      "precedes the last submitted release 1 (submissions must be in release "
+      "order); release precedes the session clock (advance() already passed "
+      "it); ";
+  // A driver blob where a session blob belongs.
+  const std::string not_a_session = frame_driver_blob({good});
+
+  const std::string two_bad =
+      frame_driver_blob({good, replay_fails, not_a_session});
+  const std::string bad_then_overlong = [&] {
+    auto w = driver_container({good, replay_fails}, 3);
+    w.u64(1u << 20);  // shard 2's length runs past the container
+    w.bytes(good.data(), good.size());
+    return w.finish();
+  }();
+  const std::string overlong = [&] {
+    auto w = driver_container({good, good}, 3);
+    w.u64(1u << 20);
+    w.bytes(good.data(), good.size());
+    return w.finish();
+  }();
+  const std::string trailing = [&] {
+    auto w = driver_container({good, good}, 2);
+    w.u32(0);  // bytes after the last shard
+    return w.finish();
+  }();
+
+  for (const std::size_t threads : {1, 2, 8}) {
+    const auto diagnose = [threads](const std::string& blob) {
+      std::string error;
+      EXPECT_EQ(service::ShardDriver::restore(blob, threads, &error), nullptr);
+      return error;
+    };
+    EXPECT_EQ(diagnose(two_bad), replay_error) << threads << " threads";
+    EXPECT_EQ(diagnose(bad_then_overlong), replay_error)
+        << threads << " threads: a replay failure in shard 1 outranks the "
+                      "framing error in shard 2";
+    EXPECT_EQ(diagnose(frame_driver_blob({good, good, not_a_session})),
+              "shard 2: not a session checkpoint (magic mismatch)")
+        << threads << " threads";
+    EXPECT_EQ(diagnose(overlong),
+              "checkpoint truncated: shard 2 blob extends past the checkpoint")
+        << threads << " threads";
+    EXPECT_EQ(diagnose(trailing),
+              "checkpoint corrupted: 4 trailing bytes after the last shard")
+        << threads << " threads";
+  }
+}
+
+TEST(CheckpointReader, ViewIsZeroCopyAndBoundsChecked) {
+  service::CheckpointWriter w;
+  w.bytes(service::kDriverCheckpointMagic, 8);
+  w.bytes("abcdefgh", 8);
+  const std::string blob = w.finish();
+
+  service::CheckpointReader r(blob);
+  r.open(service::kDriverCheckpointMagic, "test");
+  ASSERT_TRUE(r.ok()) << r.error();
+  const std::string_view head = r.view(2);
+  EXPECT_EQ(head, "ab");
+  EXPECT_EQ(head.data(), blob.data() + 8) << "view must not copy";
+  EXPECT_EQ(r.remaining(), 6u);
+
+  // Past the end (the trailer is not readable body): an empty view, a
+  // latched truncation, and the cursor left where it was.
+  EXPECT_TRUE(r.view(7).empty());
+  EXPECT_FALSE(r.ok());
+  EXPECT_NE(r.error().find("truncated"), std::string::npos) << r.error();
+  EXPECT_EQ(r.remaining(), 6u);
+  EXPECT_TRUE(r.view(1).empty()) << "reads after a failure stay empty";
+  EXPECT_EQ(r.u32(), 0u);
 }
 
 }  // namespace
